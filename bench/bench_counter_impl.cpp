@@ -338,15 +338,15 @@ void overload_storm() {
 void overload_storm_scaled() {
   const std::size_t kArmed = g_quick ? 10'000 : 1'000'000;
   banner("E12.b", "scaled storm: " + std::to_string(kArmed) +
-                      " open-loop armed waiters, heap wait plane");
+                      " open-loop armed waiters");
   note("Past ~10k the storm cannot be real threads; each armed waiter\n"
-       "is an OnReach registration at its own level — the same wait-\n"
-       "plane node a parked thread would hold.  The heap index arms in\n"
-       "O(log L); the single Increment peels all L levels ascending in\n"
-       "one bulk pass.  (The §7 list would pay O(L^2) to arm this\n"
-       "ascending sequence — E13 charts that wall.)");
+       "is an OnReach registration at its own level — the same level-\n"
+       "index node a parked thread would hold.  The index arms in\n"
+       "O(log L); the single Increment releases all L levels ascending\n"
+       "in one bulk pass.  (The §7 ordered list paid O(L^2) to arm this\n"
+       "ascending sequence.)");
   TextTable table({"spec", "arm ms", "wake ms", "ns/wake"});
-  for (const char* spec : {"hybrid,waitplane=heap:8"}) {
+  for (const char* spec : {"hybrid"}) {
     auto c = make_counter(std::string_view(spec));
     std::atomic<std::size_t> fired{0};
     const auto t0 = std::chrono::steady_clock::now();
@@ -376,11 +376,11 @@ void overload_storm_scaled() {
 void wait_plane_scaling() {
   banner("E13", "wait-plane scaling: marginal arm + bulk wake vs live levels");
   note("L live levels are built by open-loop OnReach arming (descending,\n"
-       "so the §7 list pays O(1) per insert — ascending would be the\n"
-       "O(L^2) wall).  'arm us' is the marginal cost of arming a fresh\n"
-       "interior level: the list walks O(L) nodes to find its slot, the\n"
-       "heap index sifts O(log L).  'wake ns' is the per-level cost of\n"
-       "the one Increment that releases everything.");
+       "the order an ordered list arms in O(1) per insert).  'arm us' is\n"
+       "the marginal cost of arming a fresh interior level: the level\n"
+       "index sifts O(log L) where §7's list walked O(L) nodes.  'wake\n"
+       "ns' is the per-level cost of the one Increment that releases\n"
+       "everything.");
   TextTable table({"impl", "levels", "build ms", "arm us", "wake ns"});
   const std::vector<std::size_t> sizes =
       g_quick ? std::vector<std::size_t>{1'000, 10'000}
@@ -395,7 +395,8 @@ void wait_plane_scaling() {
     return v[v.size() / 2];
   };
   for (const std::size_t levels : sizes) {
-    for (const char* spec : {"hybrid", "hybrid,waitplane=heap:8"}) {
+    {
+      const char* spec = "hybrid";
       std::vector<double> builds, arms, wakes;
       std::size_t stripes = 1;
       for (int cycle = 0; cycle < kCycles; ++cycle) {
@@ -466,14 +467,14 @@ DetachedTask bench_await_one(AnyCounter& c, counter_value_t level,
 void completion_scaling() {
   banner("E15", "logical-waiter scaling: co_await / OnReach / parked threads");
   note("The same wait — N waiters at N distinct levels, one bulk\n"
-       "release — expressed three ways.  co_await and OnReach arm heap-\n"
-       "plane callback nodes (bytes per waiter), so they scale to 10^6;\n"
+       "release — expressed three ways.  co_await and OnReach arm level-\n"
+       "index callback nodes (bytes per waiter), so they scale to 10^6;\n"
        "parked threads carry megabytes of stack each, so that row stops\n"
        "at 1000 and exists to show WHY the completion plane is the cheap\n"
        "way to be a million waiters.");
   TextTable table({"waiter", "count", "arm us", "wake ns"});
   const std::size_t big = g_quick ? 10'000 : 1'000'000;
-  const char* spec = "hybrid,waitplane=heap:8";
+  const char* spec = "hybrid";
   for (const char* mode : {"coawait", "onreach"}) {
     auto c = make_counter(std::string_view(spec));
     std::atomic<std::size_t> fired{0};

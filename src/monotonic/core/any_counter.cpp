@@ -83,8 +83,6 @@ std::string_view counter_spec_help() {
          "preallocates N wait nodes (default 64; bare 'pooled' = "
          "pooled+hybrid); base opts: pool=0|1, pool_size=N, "
          "max_waiters=N, max_levels=N, overload=throw|spin|block, "
-         "waitplane=list|heap[:S] (S = level shards of the heap wait "
-         "plane, 1..64), "
          "executor=inline|pool[:N] (where OnReach callbacks run: inline "
          "on the incrementing thread — the default — or a completion "
          "thread pool of N workers, default 1); "
@@ -105,6 +103,9 @@ namespace {
 [[noreturn]] void spec_error(const std::string& msg) {
   throw std::invalid_argument("counter spec: " + msg);
 }
+
+/// Largest S the legacy `waitplane=heap:S` token ever accepted.
+constexpr std::uint64_t kLegacyWaitShardCap = 64;
 
 struct SpecPart {
   std::string name;
@@ -333,33 +334,26 @@ BaseConfig parse_base(const SpecPart& part, const ShardPrefix& shard,
                    "' is not throw|spin|block");
       }
     } else if (key == "waitplane") {
-      // waitplane=list | waitplane=heap[:S] — the WaitIndex seam.
-      // Only the heap plane shards, so a ":S" suffix on 'list' is a
-      // named error, not silently ignored.
-      if (value == "list") {
-        cfg.options.wait_plane = WaitPlaneKind::kList;
-        cfg.options.wait_shards = 0;
-      } else if (value == "heap") {
-        cfg.options.wait_plane = WaitPlaneKind::kHeap;
-        cfg.options.wait_shards = 0;
-      } else if (value.rfind("heap:", 0) == 0) {
+      // Legacy token: every counter now runs the one level index, so
+      // the value selects nothing.  It is still parsed — with the
+      // errors it always had — because persisted server specs carry
+      // it, and a spec that stops parsing drops its counter on restore.
+      if (value.rfind("heap:", 0) == 0) {
         const std::uint64_t n =
             parse_uint("waitplane=heap:S", value.substr(5));
         if (n < 1) {
           spec_error("'waitplane=" + value + "' needs at least one shard");
         }
-        if (n > kMaxWaitShards) {
+        if (n > kLegacyWaitShardCap) {
           spec_error("'waitplane=" + value + "' exceeds the shard cap (" +
-                     std::to_string(kMaxWaitShards) +
+                     std::to_string(kLegacyWaitShardCap) +
                      ", like the striped plane's stripe clamp)");
         }
-        cfg.options.wait_plane = WaitPlaneKind::kHeap;
-        cfg.options.wait_shards = static_cast<std::size_t>(n);
       } else if (value.rfind("list:", 0) == 0) {
         spec_error("'waitplane=" + value +
                    "' — the list plane does not shard; use waitplane=heap:" +
                    value.substr(5));
-      } else {
+      } else if (value != "list" && value != "heap") {
         spec_error("option 'waitplane' value '" + value +
                    "' is not list|heap[:S]");
       }
@@ -443,14 +437,6 @@ std::string canonical_base(const BaseConfig& cfg) {
     case OverloadPolicy::kBlockIncrementers:
       out += ",overload=block";
       break;
-  }
-  if (cfg.options.wait_plane == WaitPlaneKind::kHeap) {
-    // Mirrors the stripe rule: an explicit shard count always prints,
-    // the default (one shard) never does.
-    out += ",waitplane=heap";
-    if (cfg.options.wait_shards != 0) {
-      out += ':' + std::to_string(cfg.options.wait_shards);
-    }
   }
   if (cfg.executor_pool_threads != 0) {
     // The worker count always prints (even the bare-"pool" default 1):

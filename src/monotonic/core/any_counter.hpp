@@ -28,10 +28,11 @@
 //               max_waiters=N, max_levels=N        (admission bounds;
 //               0 = unbounded), overload=throw|spin|block (what an
 //               over-cap waiter gets: CounterOverloadedError, the
-//               allocation-free degraded wait, or the admission gate),
-//               waitplane=list|heap[:S]            (the WaitIndex seam:
-//               §7's ordered list, or the sharded hierarchical level
-//               index with S level shards, 1..64 — see wait_list.hpp)
+//               allocation-free degraded wait, or the admission gate);
+//               a legacy waitplane=list|heap[:S] (S 1..64) still parses
+//               so persisted server specs restore, selects nothing
+//               (every counter runs one level index, wait_index.hpp)
+//               and never prints in the canonical form
 //   decorators: traced                             (Tracer events)
 //               batching  [batch=N, default 64]    (amortized Increment)
 //               broadcast [shards=N, default 4]    (sharded wait lists)

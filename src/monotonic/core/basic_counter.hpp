@@ -16,9 +16,8 @@
 //     locked slow path (the attention bit or the lowest-armed-level
 //     watermark);
 //   * the WAIT PLANE — this engine plus the policy — owns waiter
-//     management: the per-level wait index (wait_list.hpp — §7's
-//     ordered list, or the sharded heap index, selected by
-//     Options::wait_plane behind one API), the OnReach callback index,
+//     management: the per-level wait index (wait_list.hpp over the
+//     level index of wait_index.hpp), the OnReach callback index,
 //     node pooling, stats, Reset, timed checks, poisoning,
 //     cancellation, the stall watchdog and debug_snapshot().  The
 //     policy (wait_policy.hpp) decides how a parked thread sleeps / a
@@ -203,11 +202,7 @@ class BasicCounter {
   explicit BasicCounter(const Options& options)
       : options_(options),
         plane_(options_, stats_),
-        list_(options_, stats_),
-        // The OnReach index shares the wait plane's representation: a
-        // heap-plane counter must index a million callback levels at
-        // the same O(log L) its parked waiters get.
-        callbacks_(options_.wait_plane, list_.wait_shard_count()) {}
+        list_(options_, stats_) {}
 
   /// Destroys the counter.  Precondition: no thread is suspended in
   /// Check() (checked; destruction with waiters aborts rather than
@@ -655,14 +650,6 @@ class BasicCounter {
 
   /// Number of value-plane stripes (1 for unsharded planes).
   std::size_t stripe_count() const noexcept { return plane_.stripe_count(); }
-
-  /// Which wait-plane representation this counter runs (WaitIndex
-  /// seam: the §7 ordered list, or the sharded level index).
-  WaitPlaneKind wait_plane() const noexcept { return list_.kind(); }
-  /// Number of wait-plane shards (1 for the list plane).
-  std::size_t wait_shard_count() const noexcept {
-    return list_.wait_shard_count();
-  }
 
   /// Structural statistics since construction (or stats_reset()).
   CounterStatsSnapshot stats() const noexcept { return stats_.snapshot(); }
@@ -1162,8 +1149,6 @@ class BasicCounter {
       report.waited = std::chrono::duration_cast<std::chrono::milliseconds>(
           Env::Clock::now() - started);
       list_.snapshot_into(report.wait_levels);
-      report.wait_plane = list_.kind();
-      report.wait_shards = list_.wait_shard_count();
       stats_.on_stall_report();
       lock.unlock();
       deliver_stall(report);
@@ -1179,13 +1164,11 @@ class BasicCounter {
     }
     std::fprintf(stderr,
                  "monotonic: counter stall: Check(%llu) parked %lld ms at "
-                 "value %llu with %zu live wait level(s) on the %s wait "
-                 "plane (%zu shard(s))\n",
+                 "value %llu with %zu live wait level(s)\n",
                  static_cast<unsigned long long>(report.level),
                  static_cast<long long>(report.waited.count()),
                  static_cast<unsigned long long>(report.value),
-                 report.wait_levels.size(), to_string(report.wait_plane),
-                 report.wait_shards);
+                 report.wait_levels.size());
   }
 
   bool check_until_steady(counter_value_t level,

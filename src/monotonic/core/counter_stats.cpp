@@ -37,7 +37,6 @@ CounterStatsSnapshot CounterStats::snapshot() const noexcept {
 #endif
   // Configuration, not counters: reported even with stats compiled out.
   s.stripe_count = stripe_count_.load(std::memory_order_relaxed);
-  s.wait_shard_count = wait_shard_count_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -73,24 +72,22 @@ void CounterStats::reset() noexcept {
   index_depth_.store(0, std::memory_order_relaxed);
   predicate_checks_.store(0, std::memory_order_relaxed);
   async_completions_.store(0, std::memory_order_relaxed);
-  // stripe_count_ / wait_shard_count_ are configuration, not counters;
-  // they survive reset.
+  // stripe_count_ is configuration, not a counter; it survives reset.
 #endif
 }
 
 TextTable counter_stats_table(
     const std::vector<std::pair<std::string, CounterStatsSnapshot>>& rows) {
-  // A row is "value-sharded" when its plane has stripes, "wait-sharded"
-  // when its wait plane runs the heap index (more than one shard, or a
-  // recorded index depth — a 1-shard heap still indexes).  Each column
-  // group appears only when at least one row needs it, and within an
-  // extended table, rows a group does not apply to print "-" instead
+  // A row is "value-sharded" when its plane has stripes, and "indexed"
+  // once its wait plane has linked a level (a recorded index depth).
+  // Each column group appears only when at least one row needs it, and
+  // within an extended table, rows a group does not apply to print "-" instead
   // of a zero that reads like a measurement.
   const auto value_sharded = [](const CounterStatsSnapshot& s) {
     return s.stripe_count > 1;
   };
   const auto wait_indexed = [](const CounterStatsSnapshot& s) {
-    return s.wait_shard_count > 1 || s.index_depth > 0;
+    return s.index_depth > 0;
   };
   // Cross-process rows (shared_counter.hpp) carry a nonzero epoch.
   const auto cross_process = [](const CounterStatsSnapshot& s) {
@@ -111,7 +108,7 @@ TextTable counter_stats_table(
     header.insert(header.end(), {"stripes", "collapses", "fast incs"});
   }
   if (any_indexed) {
-    header.insert(header.end(), {"wshards", "depth", "bulk wakes"});
+    header.insert(header.end(), {"depth", "bulk wakes"});
   }
   if (any_shared) {
     header.insert(header.end(), {"epoch", "deaths"});
@@ -133,11 +130,10 @@ TextTable counter_stats_table(
     }
     if (any_indexed) {
       if (wait_indexed(s)) {
-        row.push_back(cell(s.wait_shard_count));
         row.push_back(cell(s.index_depth));
         row.push_back(cell(s.bulk_wakes));
       } else {
-        row.insert(row.end(), {"-", "-", "-"});
+        row.insert(row.end(), {"-", "-"});
       }
     }
     if (any_shared) {

@@ -47,8 +47,7 @@ struct CounterStatsSnapshot {
   std::uint64_t pool_misses = 0;      ///< node allocations that hit the heap
   std::uint64_t stripe_count = 1;     ///< value-plane stripes (1 = unsharded)
   std::uint64_t bulk_wakes = 0;       ///< releases that woke 2+ levels at once
-  std::uint64_t index_depth = 0;      ///< heap plane: high-water shard depth
-  std::uint64_t wait_shard_count = 1; ///< wait-plane shards (1 = unsharded)
+  std::uint64_t index_depth = 0;      ///< high-water level-index heap depth
   std::uint64_t predicate_checks = 0; ///< Check(pred) calls (threshold reduced)
   std::uint64_t async_completions = 0; ///< reached chains posted to an executor
   // Cross-process fields (shared_counter.hpp); an in-process counter
@@ -85,18 +84,12 @@ class CounterStats {
   void set_stripe_count(std::uint64_t n) noexcept {
     stripe_count_.store(n, std::memory_order_relaxed);
   }
-  /// Configuration, not a counter: the wait plane's resolved shard
-  /// count (1 for the list plane).  Same rules as set_stripe_count —
-  /// not gated, survives reset().
-  void set_wait_shard_count(std::uint64_t n) noexcept {
-    wait_shard_count_.store(n, std::memory_order_relaxed);
-  }
   /// A release pass (Increment's release_prefix or Poison's abort_all)
-  /// that woke two or more levels in one sweep — the bulk-wake path
-  /// the heap plane optimizes, counted on both planes for comparison.
+  /// that woke two or more levels in one sweep.
   void on_bulk_wake() noexcept { bump(bulk_wakes_); }
-  /// High-water mark of a wait-plane shard's heap depth (floor(log2 n)
-  /// + 1) — the O(log L) the index's complexity claim is about.
+  /// High-water mark of the wait plane's level-index heap depth
+  /// (floor(log2 n) + 1) — the O(log L) the index's complexity claim
+  /// is about.
   void on_index_depth(std::uint64_t depth) noexcept {
 #if MONOTONIC_ENABLE_STATS
     raise_max(index_depth_, depth);
@@ -205,7 +198,6 @@ class CounterStats {
   std::atomic<std::uint64_t> stripe_count_{1};
   std::atomic<std::uint64_t> bulk_wakes_{0};
   std::atomic<std::uint64_t> index_depth_{0};
-  std::atomic<std::uint64_t> wait_shard_count_{1};
   std::atomic<std::uint64_t> predicate_checks_{0};
   std::atomic<std::uint64_t> async_completions_{0};
 };
@@ -215,9 +207,9 @@ class CounterStats {
 /// (stress runs) widen the column instead of shearing it, which the
 /// old fixed-width printf formats got wrong.  The stripe columns
 /// (stripes / collapses / fast incs) appear only when at least one row
-/// is sharded, and the wait-plane columns (wshards / depth / bulk
-/// wakes) only when at least one row runs the heap plane; unsharded
-/// tables keep their familiar shape.  Within an extended table, rows
+/// is sharded, and the wait-plane columns (depth / bulk wakes) only
+/// when at least one row has parked a waiter; other tables keep their
+/// familiar shape.  Within an extended table, rows
 /// the extra columns do not apply to print "-" instead of a misleading
 /// zero-padded value.
 TextTable counter_stats_table(

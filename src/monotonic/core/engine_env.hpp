@@ -80,8 +80,6 @@ enum class SchedulePoint : std::uint8_t {
   kPoison,         ///< Poison freezing the counter
   kCancel,         ///< cancellation nudge firing
   kStall,          ///< stall watchdog delivering a report
-  kIndexLink,      ///< heap wait plane linking a fresh level node
-  kIndexPeel,      ///< heap wait plane peeling the global-min level
   // Cross-process counter protocol points (shared_counter.hpp).  Each
   // marks a window in which a participant's death leaves the shared
   // segment in a distinct state the death detector must recover from;

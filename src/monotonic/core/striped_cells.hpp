@@ -40,15 +40,13 @@
 // array is a fixed-size allocation made once per counter, not per
 // waiter.
 //
-// The argument is also wait-plane-representation-free.  The waiter's
-// side of the pairing is "store(watermark=L) under m_, then sum" —
-// nothing in it depends on HOW the wait plane computed L.  With the
-// §7 ordered list L is the head's level (O(1)); with the sharded
-// level index (WaitPlaneKind::kHeap, wait_index.hpp) L is the minimum
-// over the shards' heap roots (an O(S) scan, still under m_).  Both
-// feed the same seq_cst rearm store, so swapping the representation
-// cannot reintroduce the store-buffering window — the sim scenario
-// heap_cross_shard_wake explores exactly the cross-shard case.
+// The argument is also independent of how the wait plane stores its
+// levels.  The waiter's side of the pairing is "store(watermark=L)
+// under m_, then sum" — nothing in it depends on HOW the wait plane
+// computed L (the level index's heap root, wait_index.hpp, read under
+// m_).  It feeds the same seq_cst rearm store, so the index cannot
+// reintroduce the store-buffering window — the sim scenario
+// heap_cross_shard_wake explores a two-level wake over this plane.
 #pragma once
 
 #include <atomic>

@@ -1,61 +1,65 @@
-// wait_index.hpp — the hierarchical level index behind the wait
-// plane's heap variant (WaitPlaneKind::kHeap, wait_list.hpp).
+// wait_index.hpp — the level index behind every counter's wait plane
+// and OnReach callback index (WaitList / CallbackListT, wait_list.hpp).
 //
 // The paper's §7 structure is an ordered linked list of level nodes:
 // O(live levels) to join a new level, O(1) min-level, O(released
-// levels) to release a prefix.  That walk is exactly what caps the
-// overload-storm bench at ~10k armed waiters — arming L levels in
-// ascending order costs O(L^2) pointer chases.  This header provides
-// the replacement representation: per shard,
+// levels) to release a prefix.  That walk makes arming L levels in
+// ascending order cost O(L^2) pointer chases (E13 measured 20 ms per
+// arm at 10^6 live levels).  This header provides the one
+// representation that replaces it:
 //
 //   * an intrusive array binary min-heap of (level, node) entries,
 //     ordered by level, with a `heap_pos` back-link stored in the node
 //     so an arbitrary node (a timed-out waiter's) erases in O(log L);
 //     and
-//   * a flat open-addressing hash table (linear probing, power-of-two
-//     capacity, backward-shift deletion) from level to node, so
-//     join-or-insert finds an existing level in O(1) expected instead
-//     of walking the order.  A node-based std::unordered_map would
-//     cost one allocation per armed level and one scattered free per
-//     woken one — at 10^6 levels those frees alone dominated the bulk
-//     wake (they interleave with the wait-node allocations, so every
-//     free is a cold miss).  The flat table probes one cache line,
-//     clears by dropping one array, and never allocates per level.
+//   * above kSmallLevels live levels, a flat open-addressing hash
+//     table (linear probing, power-of-two capacity, backward-shift
+//     deletion) from level to node, so join-or-insert finds an
+//     existing level in O(1) expected instead of scanning.  A
+//     node-based std::unordered_map would cost one allocation per
+//     armed level and one scattered free per woken one; the flat table
+//     probes one cache line and never allocates per level.
+//
+// Small indices stay lean.  Most counters carry a handful of live
+// levels (a server counter with a few parked checks, a pipeline stage
+// waiting on its predecessor), and there a linear scan of the
+// contiguous heap array finds a level as fast as any hash.  The hash
+// table and the radix scratch (below) therefore sit behind one lazily
+// allocated pointer that exists only once the index has held more
+// than kSmallLevels levels, and is dropped again when it drains to
+// empty.  An idle index is one empty vector and one null pointer.
 //
 // The level is stored IN the heap array, not read through the node:
 // sift compares at a million live levels are then loads from one
 // contiguous array instead of a dependent pointer chase per compare,
-// which is what keeps the per-wake cost flat as the index grows (the
-// E13 bench charts this).  The node still carries `heap_pos` so the
-// two stay in lock-step.
+// which keeps the per-wake cost flat as the index grows (the E13
+// bench charts this).
 //
 // The heap keeps the §7 contract observable: the minimum level is the
 // root (O(1) — the striped plane's watermark needs exactly this), and
-// releasing "all levels <= value" peels ascending minima, so waiters
-// are still released in level order and released nodes are still
+// `drain` releases "all levels <= value" in ascending order, so
+// waiters are still released in level order and released nodes are
 // exactly the ascending prefix of the live set.
 //
-// Sharding (wait_list.hpp picks a shard by `level % shards`) bounds
-// each heap's depth at O(log(L/S)); cross-shard operations (min-level,
-// ascending peel) scan the S roots, which is O(S) with S <= 64 — the
-// same small-linear-scan trade the striped value plane makes.
-//
 // Locking: none here.  Every member requires the owning counter's
-// mutex, exactly like the list representation it replaces.
+// mutex.
 //
-// Exception safety: `link` is the only member that allocates (a table
-// rehash, and the heap array growth).  It takes an allocation hook the
-// caller points at Env::alloc_point so fault environments can inject
-// bad_alloc at each site, and it unwinds to the exact pre-call state:
-// the rehash builds the grown table aside and swaps, the table entry
-// is only placed after the heap push succeeded, and the node is never
-// observable half-linked.  Everything else is noexcept.
+// Exception safety: `link` is the only member that allocates (the
+// hash table, and heap array growth).  It takes an allocation hook the
+// caller points at Env::alloc_point, called before each allocation it
+// is about to make, so fault environments can inject bad_alloc at each
+// site; it unwinds to the exact pre-call state: the table is built
+// aside and swapped in, the table entry is only placed after the heap
+// push succeeded, and the node is never observable half-linked.
+// Everything else is noexcept.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <vector>
 
 #include "monotonic/support/assert.hpp"
@@ -63,66 +67,75 @@
 
 namespace monotonic::detail {
 
-/// One shard of the level index.  `Node` must expose
-/// `counter_value_t level` and `std::size_t heap_pos` (the intrusive
-/// back-link this shard maintains); nodes are owned by the caller.
+/// The level index.  `Node` must expose `counter_value_t level` and
+/// `std::size_t heap_pos` (the intrusive back-link this index
+/// maintains); nodes are owned by the caller.
 template <typename Node>
 class LevelShard {
  public:
+  /// Live levels up to which the index is the heap array alone: `find`
+  /// scans it, and no hash table or radix scratch exists.
+  static constexpr std::size_t kSmallLevels = 16;
+
+  /// Small-wake crossover for `drain`: past this many released levels
+  /// the rest of the prefix stops popping minima one by one (O(log L)
+  /// scattered sifts each) and switches to sort-split-discard.
+  static constexpr std::size_t kBulkWakeThreshold = 64;
+
   /// O(1) expected: the node for `level`, or nullptr.
   Node* find(counter_value_t level) const noexcept {
-    if (table_.empty()) return nullptr;
-    const std::size_t mask = table_.size() - 1;
+    if (index_ == nullptr) {
+      for (const Entry& entry : heap_) {
+        if (entry.level == level) return entry.node;
+      }
+      return nullptr;
+    }
+    const std::vector<Slot>& table = index_->table;
+    const std::size_t mask = table.size() - 1;
     std::size_t i = slot_hash(level) & mask;
-    while (table_[i].node != nullptr) {
-      if (table_[i].level == level) return table_[i].node;
+    while (table[i].node != nullptr) {
+      if (table[i].level == level) return table[i].node;
       i = (i + 1) & mask;
     }
     return nullptr;
   }
 
-  /// Links a fresh node (not found by `find`) into the shard —
+  /// Links a fresh node (not found by `find`) into the index —
   /// O(log L) sift plus the table insert.  `alloc_hook()` runs before
-  /// each operation that may allocate; it (or the allocation itself)
-  /// may throw, in which case the shard is exactly as it was (a
-  /// completed rehash aside — invisible through this API) and the node
-  /// is untouched, still owned by the caller.
+  /// each allocation; it (or the allocation itself) may throw, in
+  /// which case the index is exactly as it was (a grown table aside —
+  /// invisible through this API) and the node is untouched, still
+  /// owned by the caller.
   template <typename AllocHook>
   void link(Node* node, AllocHook&& alloc_hook) {
-    alloc_hook();       // fault hook: the table may rehash
-    ensure_capacity();  // builds the grown table aside, then swaps
-    alloc_hook();       // fault hook: the heap array may grow
+    if (index_needs_growth()) {
+      alloc_hook();
+      grow_index();  // builds the grown table aside, then swaps
+    }
+    if (heap_.size() == heap_.capacity()) alloc_hook();
     heap_.push_back(Entry{node->level, node});
-    place(table_, Slot{node->level, node});  // noexcept from here on
+    if (index_ != nullptr) {
+      place(index_->table, Slot{node->level, node});  // noexcept from here
+    }
     node->heap_pos = heap_.size() - 1;
     sift_up(node->heap_pos);
   }
 
-  /// The minimum-level node (the heap root), or nullptr when empty.
-  Node* min() const noexcept {
-    return heap_.empty() ? nullptr : heap_[0].node;
-  }
-
-  /// The root's level without touching the node (the watermark scan
-  /// and the cross-shard peel read this).  Only valid when non-empty.
+  /// The root's level.  Only valid when non-empty.
   counter_value_t min_level() const noexcept { return heap_[0].level; }
-
-  /// Unlinks and returns the root.  O(log L).
-  Node* pop_min() noexcept {
-    Node* node = heap_[0].node;
-    erase(node);
-    return node;
-  }
 
   /// Unlinks an arbitrary linked node (timed-out waiter).  O(log L).
   void erase(Node* node) noexcept {
     const std::size_t pos = node->heap_pos;
     MC_ASSERT(pos < heap_.size() && heap_[pos].node == node,
               "level-index back-link corrupt");
-    erase_slot(node->level);
+    if (index_ != nullptr) erase_slot(node->level);
     Entry last = heap_.back();
     heap_.pop_back();
-    if (pos == heap_.size()) return;  // erased the tail itself
+    if (pos == heap_.size()) {  // erased the tail itself
+      if (heap_.empty()) drop_index();
+      return;
+    }
     heap_[pos] = last;
     last.node->heap_pos = pos;
     // The hole-filler may belong above or below its new slot.
@@ -133,104 +146,44 @@ class LevelShard {
   bool empty() const noexcept { return heap_.empty(); }
   std::size_t size() const noexcept { return heap_.size(); }
 
-  // --- Bulk drain (the big-wake fast path) -------------------------
-  //
-  // Releasing r of n levels by repeated pop_min costs r sift-downs of
-  // ~log n dependent compares each; at a million live levels the cache
-  // misses in those sifts dominate the whole wake.  When r is large
-  // the caller instead (1) sorts each shard's entry array ascending in
-  // place — contiguous, allocation-free, no node derefs — (2) k-way
-  // merges the S sorted prefixes to visit released nodes in global
-  // level order, and (3) discards each prefix in one pass.  A sorted
-  // ascending array IS a valid min-heap, so the survivors need no
-  // rebuild.  Between sort_ascending() and discard_prefix() the
-  // heap_pos back-links are stale: the caller holds the counter mutex
-  // for the whole sequence and must not call find/link/erase inside
-  // it.
+  /// True while the hash table / radix scratch block is allocated
+  /// (tests check that a drained index gives it back).
+  bool has_hash_index() const noexcept { return index_ != nullptr; }
 
-  /// Step 1: sort entries ascending by level.  Positions are stale
-  /// until discard_prefix() runs.  Small shards use introsort; past
-  /// kRadixMinSort entries the arrays no longer fit cache and n log n
-  /// cold compares dominate the whole wake, so the sort switches to
-  /// LSD radix through `scratch_` — a few streaming passes, one per
-  /// significant byte of the largest level (E13 measured this at
-  /// roughly a third of introsort's cost at 10^6 live levels).  The
-  /// scratch is pre-reserved on the arm path (ensure_capacity), so
-  /// this stays allocation-free and noexcept.
-  void sort_ascending() noexcept {
-    const std::size_t n = heap_.size();
-    if (n <= kRadixMinSort) {
-      std::sort(heap_.begin(), heap_.end(),
-                [](const Entry& a, const Entry& b) { return a.level < b.level; });
-      return;
+  /// Unlinks every node with level <= `value`, calling `visit(node)`
+  /// on each in ascending level order; returns how many it unlinked.
+  /// `visit` must not call back into the index.
+  ///
+  /// Small wakes pop minima.  Past kBulkWakeThreshold the rest drains
+  /// in bulk: repeated pop_min would cost ~log L dependent compares
+  /// per level, and at a million live levels the cache misses in those
+  /// sifts dominate the whole wake.  Instead the entry array is (1)
+  /// sorted ascending in place — contiguous, allocation-free, no node
+  /// derefs — (2) split at `value` by binary search, (3) visited in
+  /// order, and (4) its prefix discarded in one pass.  A sorted
+  /// ascending array IS a valid min-heap, so the survivors need no
+  /// rebuild.  Between (1) and (4) the heap_pos back-links are stale,
+  /// which is why `visit` must stay out of the index.
+  template <typename Visit>
+  std::size_t drain(counter_value_t value, Visit&& visit) {
+    std::size_t released = 0;
+    for (; released < kBulkWakeThreshold; ++released) {
+      if (heap_.empty() || heap_[0].level > value) return released;
+      Node* node = heap_[0].node;
+      erase(node);
+      visit(node);
     }
-    MC_ASSERT(scratch_.capacity() >= n, "radix scratch under-reserved");
-    scratch_.resize(n);  // within capacity: cannot throw
-    counter_value_t max_level = 0;
-    for (const Entry& entry : heap_) max_level = std::max(max_level, entry.level);
-    Entry* from = heap_.data();
-    Entry* to = scratch_.data();
-    for (int shift = 0; shift < 64 && (max_level >> shift) != 0; shift += 8) {
-      std::size_t count[256] = {};
-      for (std::size_t i = 0; i < n; ++i) {
-        ++count[(from[i].level >> shift) & 0xff];
-      }
-      std::size_t pos = 0;
-      for (std::size_t bucket = 0; bucket < 256; ++bucket) {
-        const std::size_t c = count[bucket];
-        count[bucket] = pos;
-        pos += c;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        to[count[(from[i].level >> shift) & 0xff]++] = from[i];
-      }
-      std::swap(from, to);
+    if (heap_.empty() || heap_[0].level > value) return released;
+    sort_ascending();
+    const std::size_t r = split(value);
+    for (std::size_t i = 0; i < r; ++i) {
+      // The nodes themselves are scattered; pull the one we'll touch a
+      // few iterations from now while this one's miss is in flight.
+      if (i + 8 < r) __builtin_prefetch(heap_[i + 8].node, 1);
+      visit(heap_[i].node);
     }
-    if (from != heap_.data()) std::copy(from, from + n, heap_.data());
-  }
-
-  /// Step 1b: after sort_ascending(), the number of entries with
-  /// level <= value (binary search).
-  std::size_t split(counter_value_t value) const noexcept {
-    std::size_t lo = 0;
-    std::size_t hi = heap_.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (heap_[mid].level <= value) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
-
-  /// Step 2: merge-cursor reads into the sorted array.
-  counter_value_t level_at(std::size_t i) const noexcept {
-    return heap_[i].level;
-  }
-  Node* node_at(std::size_t i) const noexcept { return heap_[i].node; }
-
-  /// Step 3: removes the first `r` (already-delivered) entries, their
-  /// table entries with them, and re-bases the survivors' back-links.
-  /// A full drain drops the table outright (one deallocation — storage
-  /// shrinks back to O(live levels) after a storm); a partial one
-  /// rebuilds it from the survivors in a single pass, which past the
-  /// bulk crossover beats r backward-shift erases.
-  void discard_prefix(std::size_t r) noexcept {
-    if (r == 0) return;
-    if (r == heap_.size()) {
-      heap_.clear();
-      std::vector<Slot>().swap(table_);
-      std::vector<Entry>().swap(scratch_);
-      return;
-    }
-    heap_.erase(heap_.begin(), heap_.begin() + static_cast<std::ptrdiff_t>(r));
-    for (Slot& slot : table_) slot.node = nullptr;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      heap_[i].node->heap_pos = i;
-      place(table_, Slot{heap_[i].level, heap_[i].node});
-    }
+    discard_prefix(r);
+    return released + r;
   }
 
   /// Current tree depth: floor(log2(size)) + 1, 0 when empty.  Feeds
@@ -258,8 +211,15 @@ class LevelShard {
     Node* node;
   };
 
-  /// splitmix64-style mixer — level % shards already consumed the low
-  /// bits for shard choice, so the table must not reuse them raw.
+  /// The large-index block: allocated when the index first grows past
+  /// kSmallLevels, dropped when it drains to empty.
+  struct HashIndex {
+    std::vector<Slot> table;     // flat level->node index (join lookup)
+    std::vector<Entry> scratch;  // radix ping-pong buffer (bulk drain)
+  };
+
+  /// splitmix64-style mixer: consecutive levels must spread across the
+  /// table, not fill one probe run.
   static std::size_t slot_hash(counter_value_t level) noexcept {
     std::uint64_t z =
         static_cast<std::uint64_t>(level) + 0x9e3779b97f4a7c15ull;
@@ -277,46 +237,145 @@ class LevelShard {
     table[i] = slot;
   }
 
-  /// Grows the table when the next insert would push load past 1/2,
-  /// and keeps the radix scratch reserved ahead of the live-level
-  /// count so the bulk drain never allocates.  Strong guarantee: the
-  /// grown table is built aside and swapped in.
-  void ensure_capacity() {
-    if (table_.empty() || (heap_.size() + 1) * 2 > table_.size()) {
-      const std::size_t cap = std::max<std::size_t>(16, table_.size() * 2);
-      std::vector<Slot> grown(cap, Slot{0, nullptr});
-      for (const Slot& slot : table_) {
-        if (slot.node != nullptr) place(grown, slot);
+  /// Whether linking one more level needs grow_index(): the table must
+  /// exist past kSmallLevels and keep load <= 1/2, and the radix
+  /// scratch must be reserved ahead of the live-level count so the
+  /// bulk drain never allocates.
+  bool index_needs_growth() const noexcept {
+    const std::size_t n = heap_.size() + 1;
+    if (index_ == nullptr) return n > kSmallLevels;
+    return n * 2 > index_->table.size() ||
+           (n > kRadixMinSort && index_->scratch.capacity() < n);
+  }
+
+  /// Strong guarantee: the grown table is built aside from the heap
+  /// array and swapped in.
+  void grow_index() {
+    const std::size_t n = heap_.size() + 1;
+    if (index_ == nullptr || n * 2 > index_->table.size()) {
+      std::vector<Slot> grown(std::bit_ceil(n * 2), Slot{0, nullptr});
+      for (const Entry& entry : heap_) {
+        place(grown, Slot{entry.level, entry.node});
       }
-      table_.swap(grown);
+      if (index_ == nullptr) index_ = std::make_unique<HashIndex>();
+      index_->table.swap(grown);
     }
-    if (heap_.size() + 1 > kRadixMinSort &&
-        scratch_.capacity() < heap_.size() + 1) {
-      scratch_.reserve(table_.size() / 2);  // load <= 1/2, so this fits
+    if (n > kRadixMinSort && index_->scratch.capacity() < n) {
+      index_->scratch.reserve(index_->table.size() / 2);  // load <= 1/2
     }
+  }
+
+  /// Called when the heap drains to empty.  After a large episode the
+  /// hash block and the heap array both go back to the allocator, so
+  /// storage returns to O(live levels) after a storm; a small index
+  /// keeps its few heap slots for the next arm.
+  void drop_index() noexcept {
+    if (index_ == nullptr) return;
+    index_.reset();
+    std::vector<Entry>().swap(heap_);
   }
 
   /// Removes `level`'s slot with backward-shift deletion: entries of
   /// the probe cluster past the hole move back over it when their
   /// ideal position allows, so probes never need tombstones.
   void erase_slot(counter_value_t level) noexcept {
-    const std::size_t mask = table_.size() - 1;
+    std::vector<Slot>& table = index_->table;
+    const std::size_t mask = table.size() - 1;
     std::size_t hole = slot_hash(level) & mask;
-    while (table_[hole].node == nullptr || table_[hole].level != level) {
-      MC_ASSERT(table_[hole].node != nullptr, "level-index table miss");
+    while (table[hole].node == nullptr || table[hole].level != level) {
+      MC_ASSERT(table[hole].node != nullptr, "level-index table miss");
       hole = (hole + 1) & mask;
     }
     std::size_t next = (hole + 1) & mask;
-    while (table_[next].node != nullptr) {
-      const std::size_t ideal = slot_hash(table_[next].level) & mask;
+    while (table[next].node != nullptr) {
+      const std::size_t ideal = slot_hash(table[next].level) & mask;
       // Movable iff the hole lies cyclically within [ideal, next].
       if (((next - ideal) & mask) >= ((next - hole) & mask)) {
-        table_[hole] = table_[next];
+        table[hole] = table[next];
         hole = next;
       }
       next = (next + 1) & mask;
     }
-    table_[hole].node = nullptr;
+    table[hole].node = nullptr;
+  }
+
+  /// Sorts entries ascending by level.  Positions are stale until
+  /// discard_prefix() runs.  Small arrays use introsort; past
+  /// kRadixMinSort entries n log n compares dominate the whole wake,
+  /// so the sort switches to LSD radix through the scratch buffer — a
+  /// few streaming passes, one per significant byte of the largest
+  /// level.  The scratch is reserved on the arm path (grow_index), so
+  /// this stays allocation-free and noexcept.
+  void sort_ascending() noexcept {
+    const std::size_t n = heap_.size();
+    if (n <= kRadixMinSort) {
+      std::sort(heap_.begin(), heap_.end(),
+                [](const Entry& a, const Entry& b) { return a.level < b.level; });
+      return;
+    }
+    std::vector<Entry>& scratch = index_->scratch;
+    MC_ASSERT(scratch.capacity() >= n, "radix scratch under-reserved");
+    scratch.resize(n);  // within capacity: cannot throw
+    counter_value_t max_level = 0;
+    for (const Entry& entry : heap_) max_level = std::max(max_level, entry.level);
+    Entry* from = heap_.data();
+    Entry* to = scratch.data();
+    for (int shift = 0; shift < 64 && (max_level >> shift) != 0; shift += 8) {
+      std::size_t count[256] = {};
+      for (std::size_t i = 0; i < n; ++i) {
+        ++count[(from[i].level >> shift) & 0xff];
+      }
+      std::size_t pos = 0;
+      for (std::size_t bucket = 0; bucket < 256; ++bucket) {
+        const std::size_t c = count[bucket];
+        count[bucket] = pos;
+        pos += c;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        to[count[(from[i].level >> shift) & 0xff]++] = from[i];
+      }
+      std::swap(from, to);
+    }
+    if (from != heap_.data()) std::copy(from, from + n, heap_.data());
+  }
+
+  /// After sort_ascending(), the number of entries with level <= value
+  /// (binary search).
+  std::size_t split(counter_value_t value) const noexcept {
+    std::size_t lo = 0;
+    std::size_t hi = heap_.size();
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (heap_[mid].level <= value) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+
+  /// Removes the first `r` (already-visited) entries of the sorted
+  /// array, their table entries with them, and re-bases the survivors'
+  /// back-links.  A full drain drops the hash block outright; a partial
+  /// one rebuilds the table from the survivors in a single pass, which
+  /// past the bulk crossover beats r backward-shift erases.
+  void discard_prefix(std::size_t r) noexcept {
+    if (r == heap_.size()) {
+      heap_.clear();
+      drop_index();
+      return;
+    }
+    heap_.erase(heap_.begin(), heap_.begin() + static_cast<std::ptrdiff_t>(r));
+    if (index_ != nullptr) {
+      for (Slot& slot : index_->table) slot.node = nullptr;
+    }
+    for (std::size_t i = 0; i < heap_.size(); ++i) {
+      heap_[i].node->heap_pos = i;
+      if (index_ != nullptr) {
+        place(index_->table, Slot{heap_[i].level, heap_[i].node});
+      }
+    }
   }
 
   void sift_up(std::size_t i) noexcept {
@@ -350,31 +409,16 @@ class LevelShard {
     entry.node->heap_pos = i;
   }
 
-  /// Introsort-vs-radix crossover for sort_ascending (entries; 4096 of
-  /// them is 64 KiB — comfortably cache-resident for introsort).
-  static constexpr std::size_t kRadixMinSort = 4096;
+  /// Introsort-vs-radix crossover for sort_ascending, in entries.  The
+  /// radix passes are linear, so they win well before the array leaves
+  /// cache: at 1k live levels E13 measured the bulk wake ~15% cheaper
+  /// per level with radix than with introsort.
+  static constexpr std::size_t kRadixMinSort = 128;
+  static_assert(kRadixMinSort > kSmallLevels,
+                "the radix scratch lives in the hash block");
 
-  std::vector<Entry> heap_;     // array binary min-heap by level
-  std::vector<Slot> table_;     // flat level->node index (join lookup)
-  std::vector<Entry> scratch_;  // radix ping-pong buffer (bulk drain)
+  std::vector<Entry> heap_;            // array binary min-heap by level
+  std::unique_ptr<HashIndex> index_;  // null while small (<= kSmallLevels)
 };
-
-/// The shard with the globally minimal root, or nullptr when every
-/// shard is empty.  O(S) — the cross-shard scan sharding buys its
-/// per-shard depth bound with.
-template <typename Node>
-LevelShard<Node>* min_level_shard(std::vector<LevelShard<Node>>& shards) {
-  LevelShard<Node>* best = nullptr;
-  counter_value_t best_level = 0;
-  for (auto& shard : shards) {
-    if (shard.empty()) continue;
-    const counter_value_t level = shard.min_level();
-    if (best == nullptr || level < best_level) {
-      best = &shard;
-      best_level = level;
-    }
-  }
-  return best;
-}
 
 }  // namespace monotonic::detail

@@ -127,28 +127,26 @@ inline constexpr std::uint8_t kIncrementHasSeq = 0x02;
 
 // ---- encoding ------------------------------------------------------
 // Append-to-string writers; explicit shifts, so the wire format is
-// little-endian on every host.
+// little-endian on every host.  Multi-byte words are packed into a
+// local buffer and appended once: one capacity check per word instead
+// of one per byte.
 
 inline void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-inline void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
+template <typename U>
+inline void put_le(std::string& out, U v) {
+  char bytes[sizeof(U)];
+  for (std::size_t i = 0; i < sizeof(U); ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+  out.append(bytes, sizeof(U));
 }
 
-inline void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
+inline void put_u16(std::string& out, std::uint16_t v) { put_le(out, v); }
+inline void put_u32(std::string& out, std::uint32_t v) { put_le(out, v); }
+inline void put_u64(std::string& out, std::uint64_t v) { put_le(out, v); }
 
 inline void put_str16(std::string& out, std::string_view s) {
   put_u16(out, static_cast<std::uint16_t>(s.size()));

@@ -85,11 +85,17 @@ std::string exception_message(std::exception_ptr ep) {
 // handler may only touch async-signal-safe state: a flag the event
 // loop polls and a write() to the wakeup pipe that makes it poll NOW.
 // Process-wide by necessity — one drain-on-signal server per process.
-volatile std::sig_atomic_t g_sigterm_pending = 0;
+// The flag is a lock-free atomic, not a volatile sig_atomic_t: the
+// handler runs on whichever thread took the signal while the loop
+// thread reads it, and sig_atomic_t only orders a handler against the
+// thread it interrupted.
+std::atomic<bool> g_sigterm_pending{false};
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "the SIGTERM flag must be async-signal-safe");
 std::atomic<int> g_sigterm_wake_fd{-1};
 
 void sigterm_handler(int) {
-  g_sigterm_pending = 1;
+  g_sigterm_pending.store(true, std::memory_order_relaxed);
   const int fd = g_sigterm_wake_fd.load(std::memory_order_relaxed);
   if (fd >= 0) {
     const char byte = 1;
@@ -357,7 +363,7 @@ struct CounterServer::Impl {
     // partially restored name table.
     if (persist()) restore_state();
     if (opts.drain_on_sigterm) {
-      g_sigterm_pending = 0;
+      g_sigterm_pending.store(false, std::memory_order_relaxed);
       g_sigterm_wake_fd.store(wake_w, std::memory_order_relaxed);
       struct sigaction sa{};
       sa.sa_handler = sigterm_handler;
@@ -687,7 +693,8 @@ struct CounterServer::Impl {
       reap_dead();
 
       if (drain_requested.load(std::memory_order_relaxed) ||
-          (opts.drain_on_sigterm && g_sigterm_pending != 0)) {
+          (opts.drain_on_sigterm &&
+           g_sigterm_pending.load(std::memory_order_relaxed))) {
         perform_drain();
         break;
       }

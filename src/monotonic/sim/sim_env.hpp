@@ -50,8 +50,6 @@ inline const char* schedule_point_name(SchedulePoint p) noexcept {
     case SchedulePoint::kPoison: return "poison";
     case SchedulePoint::kCancel: return "cancel";
     case SchedulePoint::kStall: return "stall";
-    case SchedulePoint::kIndexLink: return "index.link";
-    case SchedulePoint::kIndexPeel: return "index.peel";
     // Cross-process points: never reached under simulation (the shared
     // counter runs against real process boundaries only), named so the
     // switch stays exhaustive and kill-sweep logs can print them.

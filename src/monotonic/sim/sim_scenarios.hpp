@@ -583,19 +583,17 @@ inline void overload_storm_block_scenario(SimHarness& h) {
 }
 
 // ---------------------------------------------------------------------------
-// Heap wait plane (waitplane=heap — wait_index.hpp)
+// Level index (wait_index.hpp)
 // ---------------------------------------------------------------------------
 
 /// A late arm races a bulk wake: three waiters at distinct levels are
-/// peeled ascending by one big Increment (kIndexPeel points) while a
-/// fourth waiter arms a middle level (kIndexLink).  Every interleaving
-/// must release all four — the late arm either joins the wake pass or
-/// parks and is released by the value it re-reads under the lock.
+/// peeled ascending by one big Increment (a kWake point per level)
+/// while a fourth waiter arms a middle level (kPark).  Every
+/// interleaving must release all four — the late arm either joins the
+/// wake pass or parks and is released by the value it re-reads under
+/// the lock.
 inline void heap_arm_vs_bulk_wake_scenario(SimHarness& h) {
-  typename SimCounter::Options opt;
-  opt.wait_plane = WaitPlaneKind::kHeap;
-  opt.wait_shards = 1;
-  auto& c = h.make<SimCounter>(opt);
+  auto& c = h.make<SimCounter>();
   auto& released = h.make<int>(0);
   for (int i = 1; i <= 3; ++i) {
     h.thread("w" + std::to_string(i), [&, i] {
@@ -628,15 +626,14 @@ inline void heap_arm_vs_bulk_wake_scenario(SimHarness& h) {
   h.check(c.debug_value() == 3, "final value != 3");
 }
 
-/// Cross-shard wake over the striped value plane: levels 2 and 3 hash
-/// to different shards of the heap index, so the armed-level watermark
-/// comes from the O(S) root scan.  The seq_cst publication argument
-/// (striped_cells.hpp) must hold no matter which shard owns the
-/// global minimum when the lock-free increment probes it.
+/// Two-level wake over the striped value plane: the armed-level
+/// watermark is the level index's root, and the seq_cst publication
+/// argument (striped_cells.hpp) must hold whichever of levels 2 and 3
+/// is the minimum when the lock-free increment probes it.  (The name
+/// dates from a sharded index, where the two levels sat in different
+/// shards; the committed seeds keep it.)
 inline void heap_cross_shard_wake_scenario(SimHarness& h) {
   typename SimShardedCounter::Options opt;
-  opt.wait_plane = WaitPlaneKind::kHeap;
-  opt.wait_shards = 2;
   opt.stripes = 2;
   auto& c = h.make<SimShardedCounter>(opt);
   auto& released = h.make<int>(0);
@@ -1035,12 +1032,12 @@ inline const std::vector<SimScenario>& sim_scenarios() {
        "frees the over-cap pair",
        false, &overload_storm_block_scenario},
       {"heap_arm_vs_bulk_wake",
-       "heap wait plane: a late arm races the ascending bulk-wake peel — "
+       "level index: a late arm races the ascending bulk-wake peel — "
        "no waiter stranded, bulk_wakes counted",
        false, &heap_arm_vs_bulk_wake_scenario},
       {"heap_cross_shard_wake",
-       "sharded heap plane over striped cells: watermark from the O(S) root "
-       "scan still satisfies the seq_cst publication protocol",
+       "two-level wake over striped cells: watermark from the index root "
+       "still satisfies the seq_cst publication protocol",
        false, &heap_cross_shard_wake_scenario},
       {"predicate_threshold_blocking",
        "Check(v>=3) vs Increment 2+1: threshold reduction + engine park, "

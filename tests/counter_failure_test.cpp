@@ -75,29 +75,6 @@ static_assert(FailureAwareCounter<ShardedHybridCounter>);
 static_assert(FailureAwareCounter<Traced<ShardedHybridCounter>>);
 static_assert(FailureAwareCounter<AnyHandle>);
 
-// Heap wait plane wrappers (waitplane=heap — wait_index.hpp): the
-// failure model must hold over both WaitIndex representations, and the
-// fault-env variant arms allocation failures against the heap's extra
-// allocation points (hash slot + heap slot per fresh level).
-inline WaitListOptions heap_plane_options(std::size_t shards,
-                                          std::size_t preallocated = 0) {
-  WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
-  o.wait_shards = shards;
-  o.preallocated_nodes = preallocated;
-  return o;
-}
-
-template <typename C>
-struct HeapPlane : C {
-  HeapPlane() : C(heap_plane_options(3)) {}
-};
-
-template <typename C>
-struct PooledHeapPlane : C {
-  PooledHeapPlane() : C(heap_plane_options(2, 8)) {}
-};
-
 template <typename C>
 class FailureModel : public ::testing::Test {
  protected:
@@ -110,10 +87,7 @@ using AllCounterTypes =
                      Broadcasting<Counter>, ShardedCounter,
                      ShardedHybridCounter, Traced<ShardedHybridCounter>,
                      FaultListCounter, FaultSingleCvCounter,
-                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
-                     HeapPlane<Counter>, HeapPlane<ShardedHybridCounter>,
-                     PooledHeapPlane<HybridCounter>,
-                     HeapPlane<FaultHybridCounter>>;
+                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter>;
 
 struct CounterTypeNames {
   template <typename T>
@@ -139,13 +113,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, FaultFutexCounter>) return "fault_futex";
     if constexpr (std::is_same_v<T, FaultSpinCounter>) return "fault_spin";
     if constexpr (std::is_same_v<T, FaultHybridCounter>) return "fault_hybrid";
-    if constexpr (std::is_same_v<T, HeapPlane<Counter>>) return "heap_list";
-    if constexpr (std::is_same_v<T, HeapPlane<ShardedHybridCounter>>)
-      return "heap_sharded_hybrid";
-    if constexpr (std::is_same_v<T, PooledHeapPlane<HybridCounter>>)
-      return "heap_pooled_hybrid";
-    if constexpr (std::is_same_v<T, HeapPlane<FaultHybridCounter>>)
-      return "heap_fault_hybrid";
   }
 };
 
@@ -537,39 +504,7 @@ TEST(StallWatchdog, ReportsParkedWaiterAndItsWaitList) {
   ASSERT_EQ(last.wait_levels.size(), 1u);
   EXPECT_EQ(last.wait_levels[0].level, 10u);
   EXPECT_EQ(last.wait_levels[0].waiters, 1u);
-  // The report says WHICH wait plane the waiter is parked on — a heap
-  // stall and a list stall point at different suspects.
-  EXPECT_EQ(last.wait_plane, WaitPlaneKind::kList);
-  EXPECT_EQ(last.wait_shards, 1u);
-  EXPECT_STREQ(to_string(last.wait_plane), "list");
   EXPECT_GE(counter.stats().stall_reports, 1u);
-}
-
-TEST(StallWatchdog, ReportNamesTheHeapPlaneAndItsShardCount) {
-  WaitListOptions options;
-  options.stall_report_after = 20ms;
-  options.wait_plane = WaitPlaneKind::kHeap;
-  options.wait_shards = 4;
-  std::atomic<int> reports{0};
-  CounterStallReport last{};
-  std::mutex report_m;
-  options.on_stall = [&](const CounterStallReport& r) {
-    std::scoped_lock lock(report_m);
-    last = r;
-    reports.fetch_add(1, std::memory_order_relaxed);
-  };
-  Counter counter(options);
-  {
-    std::jthread waiter([&] { counter.Check(10); });
-    while (reports.load(std::memory_order_relaxed) == 0) {
-      std::this_thread::sleep_for(5ms);
-    }
-    counter.Increment(10);
-  }
-  std::scoped_lock lock(report_m);
-  EXPECT_EQ(last.wait_plane, WaitPlaneKind::kHeap);
-  EXPECT_EQ(last.wait_shards, 4u);
-  EXPECT_STREQ(to_string(last.wait_plane), "heap");
 }
 
 TEST(StallWatchdog, QuietWhenIncrementsArriveInTime) {
@@ -734,9 +669,7 @@ class FaultRounds : public ::testing::Test {};
 
 using FaultEnvCounterTypes =
     ::testing::Types<FaultListCounter, FaultSingleCvCounter,
-                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
-                     HeapPlane<FaultListCounter>,
-                     HeapPlane<FaultHybridCounter>>;
+                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter>;
 
 struct FaultTypeNames {
   template <typename T>
@@ -746,10 +679,6 @@ struct FaultTypeNames {
     if constexpr (std::is_same_v<T, FaultFutexCounter>) return "futex";
     if constexpr (std::is_same_v<T, FaultSpinCounter>) return "spin";
     if constexpr (std::is_same_v<T, FaultHybridCounter>) return "hybrid";
-    if constexpr (std::is_same_v<T, HeapPlane<FaultListCounter>>)
-      return "heap_list";
-    if constexpr (std::is_same_v<T, HeapPlane<FaultHybridCounter>>)
-      return "heap_hybrid";
   }
 };
 
@@ -800,19 +729,17 @@ TYPED_TEST(FaultRounds, SeededFaultRoundKeepsTimedAccountingExact) {
   EXPECT_EQ(c.stats().live_nodes, 0u);
 }
 
-// The heap wait plane has two allocation sites the list does not: the
-// level-to-node hash entry and the heap array growth (wait_index.hpp's
-// link hook).  Fail each in turn — the strong guarantee must hold at
-// every site, and the same counter must then park and release.
-TEST(HeapPlaneFaultRounds, EveryIndexAllocationSiteUnwindsCleanly) {
+// A fresh level on a fresh counter allocates twice: the wait node, and
+// the level index's heap array (wait_index.hpp's link hook; the hash
+// table only exists past LevelShard::kSmallLevels live levels — the
+// OnReach sweep in counter_resource_test covers that site).  Fail each
+// in turn — the strong guarantee must hold at every site, and the same
+// counter must then park and release.
+TEST(LevelIndexFaultRounds, EveryIndexAllocationSiteUnwindsCleanly) {
   WaitListOptions options;
-  options.wait_plane = WaitPlaneKind::kHeap;
-  options.wait_shards = 2;
   options.pool_nodes = false;  // every round re-runs the full sequence
   BasicCounter<HybridWaitT<monotonic::sim::RealFaultEnv>> c(options);
-  // Fresh-level link: alloc #1 = the node, #2 = the hash entry,
-  // #3 = the heap slot.
-  for (std::size_t site = 1; site <= 3; ++site) {
+  for (std::size_t site = 1; site <= 2; ++site) {
     FaultPlan plan;
     plan.fail_alloc_at = site;
     FaultScope scope(plan);

@@ -49,21 +49,6 @@ using FaultBlockingCounter = BasicCounter<BlockingWaitT<RealFaultEnv>>;
 using FaultFutexCounter = BasicCounter<FutexWaitT<RealFaultEnv>>;
 using FaultHybridCounter = BasicCounter<HybridWaitT<RealFaultEnv>>;
 
-// Heap wait plane (waitplane=heap — wait_index.hpp) over the fault
-// env: the allocation sweeps must also cover the index's extra sites
-// (the level hash entry and the heap slot, beyond the node itself).
-inline WaitListOptions heap_plane_options(std::size_t shards) {
-  WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
-  o.wait_shards = shards;
-  return o;
-}
-
-template <typename C>
-struct HeapPlane : C {
-  HeapPlane() : C(heap_plane_options(2)) {}
-};
-
 // ---------------------------------------------------------------------------
 // Error taxonomy
 // ---------------------------------------------------------------------------
@@ -107,21 +92,6 @@ TEST(CounterResource, PooledSpecNeverTouchesTheHeap) {
   EXPECT_EQ(s.pool_hits, 4u) << "preallocated nodes not used";
   EXPECT_EQ(s.pool_misses, 0u) << "pooled spec still hit the allocator";
   EXPECT_EQ(s.live_nodes, 0u);
-}
-
-TEST(CounterResource, PooledHeapPlaneSpecReusesPooledNodes) {
-  // The pool covers wait NODES on the heap plane too — the index's own
-  // bookkeeping (hash entry, heap slot) is separate, but a hot level's
-  // node must keep coming from the free list.
-  auto c = make_counter("pooled:8+list,waitplane=heap:2");
-  for (counter_value_t level = 1; level <= 4; ++level) {
-    park_release_round(*c, level);
-  }
-  const auto s = c->stats();
-  EXPECT_EQ(s.pool_hits, 4u) << "preallocated nodes not used";
-  EXPECT_EQ(s.pool_misses, 0u) << "pooled heap-plane spec hit the allocator";
-  EXPECT_EQ(s.live_nodes, 0u);
-  EXPECT_EQ(s.wait_shard_count, 2u);
 }
 
 TEST(CounterResource, UnpooledSpecPaysTheAllocatorEveryTime) {
@@ -192,19 +162,21 @@ void sweep_parked_op(Op&& op, std::uint64_t min_alloc_points) {
   }
 }
 
+// A fresh counter's first park allocates twice: the wait node, and the
+// level index's heap array (wait_index.hpp).
 TEST(CounterResource, AllocFailureSweepCheckBlocking) {
   sweep_parked_op<FaultBlockingCounter>(
-      [](FaultBlockingCounter& c) { c.Check(1); }, 1);
+      [](FaultBlockingCounter& c) { c.Check(1); }, 2);
 }
 
 TEST(CounterResource, AllocFailureSweepCheckHybrid) {
   sweep_parked_op<FaultHybridCounter>(
-      [](FaultHybridCounter& c) { c.Check(1); }, 1);
+      [](FaultHybridCounter& c) { c.Check(1); }, 2);
 }
 
 TEST(CounterResource, AllocFailureSweepCheckFutex) {
   sweep_parked_op<FaultFutexCounter>(
-      [](FaultFutexCounter& c) { c.Check(1); }, 1);
+      [](FaultFutexCounter& c) { c.Check(1); }, 2);
 }
 
 TEST(CounterResource, AllocFailureSweepCheckFor) {
@@ -212,23 +184,21 @@ TEST(CounterResource, AllocFailureSweepCheckFor) {
       [](FaultBlockingCounter& c) {
         EXPECT_TRUE(c.CheckFor(1, std::chrono::seconds(60)));
       },
-      1);
+      2);
 }
 
-TEST(CounterResource, AllocFailureSweepCheckHeapPlane) {
-  // waitplane=heap: a fresh park allocates the node, the level hash
-  // entry, and the heap slot — three distinct failure sites, each of
-  // which must unwind to the pre-call state.
-  sweep_parked_op<HeapPlane<FaultHybridCounter>>(
-      [](HeapPlane<FaultHybridCounter>& c) { c.Check(1); }, 3);
-}
-
+// `prefill` levels (2, 3, ...) are registered before the swept one, so
+// the sweep can start with the level index at any size.
 template <typename C>
-void sweep_onreach_fresh(std::uint64_t min_alloc_points) {
+void sweep_onreach_fresh(std::uint64_t min_alloc_points,
+                         std::size_t prefill = 0) {
   // Fresh-level registrations take the node-allocation branch of
   // CallbackListT::insert.
   for (std::uint64_t k = 1;; ++k) {
     C c;
+    for (std::size_t i = 0; i < prefill; ++i) {
+      c.OnReach(static_cast<counter_value_t>(i + 2), [] {});
+    }
     std::atomic<int> fired{0};
     bool threw = false;
     std::uint64_t failed = 0;
@@ -264,13 +234,16 @@ void sweep_onreach_fresh(std::uint64_t min_alloc_points) {
 }
 
 TEST(CounterResource, AllocFailureSweepOnReachFreshLevel) {
-  sweep_onreach_fresh<FaultHybridCounter>(1);
+  // The callback node and the level index's heap array.
+  sweep_onreach_fresh<FaultHybridCounter>(2);
 }
 
-TEST(CounterResource, AllocFailureSweepOnReachFreshLevelHeapPlane) {
-  // The heap index adds the hash-entry and heap-slot sites to the
-  // fresh-callback-node path.
-  sweep_onreach_fresh<HeapPlane<FaultHybridCounter>>(3);
+TEST(CounterResource, AllocFailureSweepOnReachPastTheSmallIndex) {
+  // The registration that takes the index past kSmallLevels live
+  // levels also builds its hash table and outgrows the heap array:
+  // node, hash block, heap array — each must unwind cleanly.
+  using Index = detail::LevelShard<CallbackList::Node>;
+  sweep_onreach_fresh<FaultHybridCounter>(3, Index::kSmallLevels);
 }
 
 TEST(CounterResource, AllocFailureSweepOnReachJoinedLevel) {
@@ -378,21 +351,6 @@ TEST(CounterResource, AdmissionMaxLevelsCountsNodesNotWaiters) {
   EXPECT_EQ(c->stats().live_nodes, 0u);
 }
 
-TEST(CounterResource, AdmissionMaxLevelsSpansHeapPlaneShards) {
-  // max_levels is a global bound: levels 3 and 4 hash to different
-  // shards of the heap index, but the second fresh level must still be
-  // rejected.
-  auto c = make_counter("list,max_levels=1,waitplane=heap:2");
-  std::thread w1([&] { c->Check(3); });
-  std::thread w2([&] { c->Check(3); });  // joins w1's node: admitted
-  while (c->stats().suspensions < 2) std::this_thread::yield();
-  EXPECT_THROW(c->Check(4), CounterOverloadedError);  // needs a 2nd node
-  c->Increment(3);
-  w1.join();
-  w2.join();
-  EXPECT_EQ(c->stats().live_nodes, 0u);
-}
-
 TEST(CounterResource, AdmissionSpinDegradesAndStillSucceeds) {
   auto c = make_counter("hybrid,max_waiters=1,overload=spin");
   std::thread w1([&] { c->Check(5); });
@@ -488,10 +446,6 @@ TEST(CounterResource, OverloadStormSpin) {
 
 TEST(CounterResource, OverloadStormBlock) {
   overload_storm("list,max_waiters=64,overload=block", false);
-}
-
-TEST(CounterResource, OverloadStormHeapPlane) {
-  overload_storm("pooled:64+hybrid,max_waiters=64,waitplane=heap:4", true);
 }
 
 // ---------------------------------------------------------------------------

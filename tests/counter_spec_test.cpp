@@ -92,18 +92,18 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"sharded:2+hybrid+traced", "sharded:2+hybrid+traced"},
         SpecCase{"sharded+hybrid+batching,batch=16",
                  "sharded+hybrid+batching,batch=16"},
-        // Heap wait plane: waitplane=list is the default and never
-        // prints; an explicit heap shard count always prints, the auto
-        // count never does (mirrors the sharded prefix).
+        // Legacy waitplane token: every counter runs the one level
+        // index, so persisted specs that still carry it parse and
+        // canonicalise to the bare spec.
         SpecCase{"hybrid,waitplane=list", "hybrid"},
-        SpecCase{"hybrid,waitplane=heap", "hybrid,waitplane=heap"},
-        SpecCase{"hybrid,waitplane=heap:4", "hybrid,waitplane=heap:4"},
-        SpecCase{"list,pool=0,waitplane=heap:2",
-                 "list-nopool,waitplane=heap:2"},
+        SpecCase{"hybrid,waitplane=heap", "hybrid"},
+        SpecCase{"hybrid,waitplane=heap:4", "hybrid"},
+        SpecCase{"hybrid,waitplane=heap:1", "hybrid"},
+        SpecCase{"hybrid,waitplane=heap:64", "hybrid"},
+        SpecCase{"list,pool=0,waitplane=heap:2", "list-nopool"},
         SpecCase{"sharded:2+hybrid,waitplane=heap:4+traced",
-                 "sharded:2+hybrid,waitplane=heap:4+traced"},
-        SpecCase{"pooled:16+futex,waitplane=heap",
-                 "pooled:16+futex,waitplane=heap"},
+                 "sharded:2+hybrid+traced"},
+        SpecCase{"pooled:16+futex,waitplane=heap", "pooled:16+futex"},
         // Completion executor: inline is the default and never prints;
         // pool always prints with its explicit worker count (bare
         // "pool" means one worker).
@@ -114,7 +114,7 @@ INSTANTIATE_TEST_SUITE_P(
         SpecCase{"list,pool=0,executor=pool:4",
                  "list-nopool,executor=pool:4"},
         SpecCase{"hybrid,waitplane=heap:4,executor=pool:2",
-                 "hybrid,waitplane=heap:4,executor=pool:2"},
+                 "hybrid,executor=pool:2"},
         SpecCase{"sharded:2+hybrid,executor=pool+traced",
                  "sharded:2+hybrid,executor=pool:1+traced"}));
 
@@ -153,8 +153,9 @@ INSTANTIATE_TEST_SUITE_P(
                       "list+sharded:4", "sharded:0+hybrid",
                       "sharded:x+hybrid", "sharded:+hybrid",
                       "sharded,stripes=4+hybrid",
-                      // waitplane: the list has no shard count, and the
-                      // value must be a known plane.
+                      // Legacy waitplane: still validated exactly as
+                      // before — the list has no shard count, S is
+                      // 1..64, and the value must be a known plane.
                       "hybrid,waitplane=list:2", "hybrid,waitplane=bogus",
                       "hybrid,waitplane=heap:0", "hybrid,waitplane=heap:x",
                       "hybrid,waitplane=heap:65",
@@ -198,7 +199,8 @@ TEST(SpecRejects, MessagesNameTheBadToken) {
   EXPECT_NE(message_of("hybrid+sharded").find("'sharded'"),
             std::string::npos);
   EXPECT_NE(message_of("list,bogus=1").find("'bogus'"), std::string::npos);
-  // The list plane has no shards; the message points at the heap form.
+  // Legacy waitplane: "list" never took a shard count; the message
+  // still points at the heap form.
   EXPECT_NE(message_of("hybrid,waitplane=list:2").find("waitplane=heap"),
             std::string::npos);
   EXPECT_NE(message_of("hybrid,waitplane=bogus").find("waitplane"),
@@ -297,30 +299,18 @@ TEST(SpecBehavior, ComposedSpecsIncrementAndWake) {
   }
 }
 
-// Wait-plane metadata flows through the erased interface the same way
-// stripe metadata does: wait_shard_count reports the heap's shard
-// count, and list-plane counters report 1.
-TEST(SpecBehavior, HeapPlaneSpecsExposeWaitShardMetadata) {
-  auto heap = make_counter("hybrid,waitplane=heap:4");
-  EXPECT_EQ(heap->stats().wait_shard_count, 4u);
-
-  // Parking a waiter exercises the index; the depth high-water mark
-  // and shard count surface through stats().
-  std::jthread waiter([&heap] { heap->Check(2); });
-  while (heap->stats().live_nodes == 0) std::this_thread::yield();
-  heap->Increment(2);
+// Level-index metadata flows through the erased interface: the depth
+// high-water mark is zero until a waiter parks, and records the park.
+TEST(SpecBehavior, ParkedWaitersExposeIndexDepth) {
+  auto c = make_counter("hybrid");
+  EXPECT_EQ(c->stats().index_depth, 0u);
+  std::jthread waiter([&c] { c->Check(2); });
+  while (c->stats().live_nodes == 0) std::this_thread::yield();
+  c->Increment(2);
   waiter.join();
 #if MONOTONIC_ENABLE_STATS
-  EXPECT_GE(heap->stats().index_depth, 1u);
+  EXPECT_GE(c->stats().index_depth, 1u);
 #endif
-
-  auto list = make_counter("hybrid");
-  EXPECT_EQ(list->stats().wait_shard_count, 1u);
-  EXPECT_EQ(list->stats().index_depth, 0u);
-
-  // Auto shard count: at least one, resolved at construction.
-  auto auto_heap = make_counter("list,waitplane=heap");
-  EXPECT_GE(auto_heap->stats().wait_shard_count, 1u);
 }
 
 // Stripe metadata flows through the erased interface: stripe_count()

@@ -89,32 +89,6 @@ static_assert(PredicateCounterLike<Batching<HybridCounter>>);
 static_assert(PredicateCounterLike<Broadcasting<Counter>>);
 static_assert(PredicateCounterLike<AnyHandle>);
 
-// Wrappers that default-construct over the heap wait plane
-// (waitplane=heap — wait_index.hpp), so the typed suite runs the same
-// bodies over both WaitIndex representations.  Shard count 3 is
-// deliberately not a power of two and smaller than the level spread,
-// so cross-shard min-scans and level%S collisions both happen; the
-// pooled variant composes preallocation with the index to cover the
-// pool/recycle interaction.
-inline WaitListOptions heap_plane_options(std::size_t shards,
-                                          std::size_t preallocated = 0) {
-  WaitListOptions o;
-  o.wait_plane = WaitPlaneKind::kHeap;
-  o.wait_shards = shards;
-  o.preallocated_nodes = preallocated;
-  return o;
-}
-
-template <typename C>
-struct HeapPlane : C {
-  HeapPlane() : C(heap_plane_options(3)) {}
-};
-
-template <typename C>
-struct PooledHeapPlane : C {
-  PooledHeapPlane() : C(heap_plane_options(2, 8)) {}
-};
-
 template <typename C>
 class CounterSemantics : public ::testing::Test {
  protected:
@@ -123,8 +97,7 @@ class CounterSemantics : public ::testing::Test {
 
 // Five bare implementations + three decorated compositions + the
 // striped value plane (bare, over a locking policy, and under a
-// decorator) + the heap wait plane (bare, pooled, and composed with
-// the striped value plane).  Batching is instantiated with batch=1
+// decorator).  Batching is instantiated with batch=1
 // (its default), which must behave as an exact pass-through.
 using AllCounterTypes =
     ::testing::Types<Counter, SingleCvCounter, FutexCounter, SpinCounter,
@@ -132,10 +105,7 @@ using AllCounterTypes =
                      Broadcasting<Counter>, ShardedCounter,
                      ShardedHybridCounter, Traced<ShardedHybridCounter>,
                      FaultListCounter, FaultSingleCvCounter,
-                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter,
-                     HeapPlane<Counter>, HeapPlane<HybridCounter>,
-                     HeapPlane<ShardedHybridCounter>,
-                     PooledHeapPlane<HybridCounter>>;
+                     FaultFutexCounter, FaultSpinCounter, FaultHybridCounter>;
 
 struct CounterTypeNames {
   template <typename T>
@@ -161,13 +131,6 @@ struct CounterTypeNames {
     if constexpr (std::is_same_v<T, FaultFutexCounter>) return "fault_futex";
     if constexpr (std::is_same_v<T, FaultSpinCounter>) return "fault_spin";
     if constexpr (std::is_same_v<T, FaultHybridCounter>) return "fault_hybrid";
-    if constexpr (std::is_same_v<T, HeapPlane<Counter>>) return "heap_list";
-    if constexpr (std::is_same_v<T, HeapPlane<HybridCounter>>)
-      return "heap_hybrid";
-    if constexpr (std::is_same_v<T, HeapPlane<ShardedHybridCounter>>)
-      return "heap_sharded_hybrid";
-    if constexpr (std::is_same_v<T, PooledHeapPlane<HybridCounter>>)
-      return "heap_pooled_hybrid";
   }
 };
 

@@ -25,9 +25,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -51,11 +54,41 @@ using monotonic::CounterTimeoutError;
 
 namespace {
 
-std::string unique_path(const char* tag) {
-  static int seq = 0;
-  return "/tmp/mc_recovery_" + std::string(tag) + "_" +
-         std::to_string(::getpid()) + "_" + std::to_string(seq++);
-}
+/// Every test runs in its own mkdtemp directory, removed with all it
+/// holds (sockets, snapshots, journals, temp paths) in TearDown — which
+/// gtest runs after a failed assertion too, so a failing or killed-child
+/// test leaves nothing behind in /tmp.
+class TempDirTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/mc_recovery_XXXXXX";
+    ASSERT_NE(::mkdtemp(tmpl), nullptr) << std::strerror(errno);
+    dir_ = tmpl;
+  }
+  void TearDown() override {
+    if (dir_.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+    EXPECT_FALSE(ec) << "could not remove " << dir_ << ": " << ec.message();
+  }
+
+  /// A fresh path inside the test's directory.
+  std::string unique_path(const char* tag) {
+    return dir_ + "/" + tag + "_" + std::to_string(seq_++);
+  }
+
+ private:
+  std::string dir_;
+  int seq_ = 0;
+};
+
+using StateFile = TempDirTest;
+using Recovery = TempDirTest;
+using Compaction = TempDirTest;
+using Deadlines = TempDirTest;
+using Drain = TempDirTest;
+using ForkedRecovery = TempDirTest;
+using Chaos = TempDirTest;
 
 std::vector<std::uint64_t> seeds_from_env(const char* var,
                                           std::vector<std::uint64_t> dflt) {
@@ -178,13 +211,6 @@ std::string read_file(const std::string& path) {
   return bytes;
 }
 
-/// Removes a test's state file, its journal and its temp path.
-void remove_state(const std::string& state) {
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
-  ::rmdir((state + ".tmp").c_str());
-}
-
 ms::ClientOptions retry_options() {
   ms::ClientOptions o;
   o.retry.enabled = true;
@@ -196,7 +222,7 @@ ms::ClientOptions retry_options() {
 
 // ---- state_file.hpp: the durability primitives ----------------------
 
-TEST(StateFile, SnapshotRoundTripsAndRejectsCorruption) {
+TEST_F(StateFile, SnapshotRoundTripsAndRejectsCorruption) {
   ms::StateSnapshot snap;
   snap.epoch = 7;
   snap.generation = 42;
@@ -224,10 +250,9 @@ TEST(StateFile, SnapshotRoundTripsAndRejectsCorruption) {
   bytes[bytes.size() / 2] ^= 0x40;
   ms::StateSnapshot corrupt;
   EXPECT_FALSE(ms::decode_snapshot(bytes, corrupt));
-  ::unlink(path.c_str());
 }
 
-TEST(StateFile, JournalTornTailStopsReplayCleanly) {
+TEST_F(StateFile, JournalTornTailStopsReplayCleanly) {
   std::string journal = ms::encode_journal_header(5);
   ms::append_journal_open(journal, 1, "c", "basic");
   ms::append_journal_increment(journal, 1, 10, 0, 0, 0);
@@ -250,10 +275,9 @@ TEST(StateFile, JournalTornTailStopsReplayCleanly) {
   // Generation mismatch = a journal already folded into a snapshot:
   // the double-apply guard must refuse it outright.
   EXPECT_FALSE(ms::load_journal(path, 6, records));
-  ::unlink(path.c_str());
 }
 
-TEST(StateFile, DedupWindowAppliesEachSeqAtMostOnce) {
+TEST_F(StateFile, DedupWindowAppliesEachSeqAtMostOnce) {
   ms::DedupWindow w(128);
   EXPECT_FALSE(w.seen(1));
   w.record(1);
@@ -307,7 +331,7 @@ constexpr std::string_view kGoldenJournalHex =
     "000000000a000000000000000b0000000000000003000000000000006c371be0"
     "5fe9ceea0c0000000301000000000000000100780ed320947213bb71";
 
-TEST(StateFile, StreamedEncodingMatchesTheVersion1Format) {
+TEST_F(StateFile, StreamedEncodingMatchesTheVersion1Format) {
   EXPECT_EQ(ms::encode_snapshot(golden_snapshot()),
             from_hex(kGoldenSnapshotHex));
   EXPECT_EQ(ms::encode_snapshot(ms::StateSnapshot{}),
@@ -333,7 +357,7 @@ TEST(StateFile, StreamedEncodingMatchesTheVersion1Format) {
 
 // ---- crash-shaped restarts (in-process) -----------------------------
 
-TEST(Recovery, Version1SnapshotRestoresUnderBumpedEpoch) {
+TEST_F(Recovery, Version1SnapshotRestoresUnderBumpedEpoch) {
   const std::string sock = unique_path("golden.sock");
   const std::string state = unique_path("golden.state");
   write_file(state, from_hex(kGoldenSnapshotHex));
@@ -359,10 +383,40 @@ TEST(Recovery, Version1SnapshotRestoresUnderBumpedEpoch) {
   EXPECT_EQ(snap.epoch, 8u);
   EXPECT_EQ(snap.generation, 44u);  // +1 at Start, +1 at Drain
   EXPECT_EQ(ms::encode_snapshot(snap), bytes);
-  remove_state(state);
 }
 
-TEST(Recovery, CrashRestartRestoresValuesUnderBumpedEpoch) {
+// Specs are persisted verbatim, and restore skips a counter whose spec
+// no longer parses.  One written while the grammar still selected a
+// wait-plane representation ("waitplane=heap:4") must therefore keep
+// parsing, or its value would be silently dropped on restart.
+TEST_F(Recovery, LegacyWaitPlaneSpecRestoresItsExactValue) {
+  const std::string sock = unique_path("legacy.sock");
+  const std::string state = unique_path("legacy.state");
+  const std::string spec = "pooled:64+hybrid,waitplane=heap:4";
+  ms::StateSnapshot snap;
+  snap.epoch = 7;
+  snap.generation = 42;
+  snap.counters.push_back({3, "legacy/snap", spec, 40, false, ""});
+  write_file(state, ms::encode_snapshot(snap));
+  std::string journal = ms::encode_journal_header(42);
+  ms::append_journal_increment(journal, 3, 2, 0, 0, 0);
+  ms::append_journal_open(journal, 5, "legacy/journal", spec);
+  ms::append_journal_increment(journal, 5, 17, 0, 0, 0);
+  write_file(state + ".journal", journal);
+
+  ms::ServerOptions o;
+  o.uds_path = sock;
+  o.state_file = state;
+  ms::CounterServer server(std::move(o));
+  server.Start();
+  EXPECT_EQ(server.epoch(), 8u);
+  ms::ServerClient c = ms::ServerClient::connect_uds(sock);
+  EXPECT_EQ(c.resolve("legacy/snap").value, 42u);
+  EXPECT_EQ(c.resolve("legacy/journal").value, 17u);
+  server.Stop();
+}
+
+TEST_F(Recovery, CrashRestartRestoresValuesUnderBumpedEpoch) {
   const std::string sock = unique_path("crash.sock");
   const std::string state = unique_path("crash.state");
   std::uint64_t old_epoch = 0;
@@ -406,11 +460,9 @@ TEST(Recovery, CrashRestartRestoresValuesUnderBumpedEpoch) {
     EXPECT_THROW(c.resolve("never-existed"), std::invalid_argument);
     server.Stop();
   }
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
 }
 
-TEST(Recovery, DuplicateRetriedIncrementsApplyExactlyOnce) {
+TEST_F(Recovery, DuplicateRetriedIncrementsApplyExactlyOnce) {
   const std::string sock = unique_path("dedup.sock");
   const std::string state = unique_path("dedup.state");
   const std::uint64_t hi = 0x1111, lo = 0x2222;
@@ -464,11 +516,9 @@ TEST(Recovery, DuplicateRetriedIncrementsApplyExactlyOnce) {
     EXPECT_EQ(server.stats().dedup_hits, 2u);
     server.Stop();
   }
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
 }
 
-TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
+TEST_F(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
   const std::string sock = unique_path("epoch.sock");
   const std::string state = unique_path("epoch.state");
   auto server = std::make_optional<ms::CounterServer>([&] {
@@ -503,8 +553,6 @@ TEST(Recovery, EpochChangeSurfacesTypedWhenTransparencyDeclined) {
     EXPECT_EQ(e.new_epoch(), first_epoch + 1);
   }
   server->Stop();
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
 }
 
 // ---- compaction cadence and snapshot failures -----------------------
@@ -518,7 +566,7 @@ ms::ServerOptions compaction_options(const std::string& sock,
   return o;
 }
 
-TEST(Compaction, SnapshotCadenceIsAmortisedAndLongJournalReplaysExact) {
+TEST_F(Compaction, SnapshotCadenceIsAmortisedAndLongJournalReplaysExact) {
   const std::string sock = unique_path("cadence.sock");
   const std::string state = unique_path("cadence.state");
   constexpr std::size_t kCounters = 2000;
@@ -598,10 +646,9 @@ TEST(Compaction, SnapshotCadenceIsAmortisedAndLongJournalReplaysExact) {
     }
     server.Stop();
   }
-  remove_state(state);
 }
 
-TEST(Compaction, StartRefusesWhenItsSnapshotCannotBeWritten) {
+TEST_F(Compaction, StartRefusesWhenItsSnapshotCannotBeWritten) {
   const std::string sock = unique_path("nosnap.sock");
   const std::string state = unique_path("nosnap.state");
   {
@@ -628,10 +675,9 @@ TEST(Compaction, StartRefusesWhenItsSnapshotCannotBeWritten) {
     EXPECT_EQ(c.resolve("kept").value, 5u);
     server.Stop();
   }
-  remove_state(state);
 }
 
-TEST(Compaction, FailedPeriodicSnapshotBacksOffAndKeepsTheJournal) {
+TEST_F(Compaction, FailedPeriodicSnapshotBacksOffAndKeepsTheJournal) {
   const std::string sock = unique_path("backoff.sock");
   const std::string state = unique_path("backoff.state");
   constexpr std::uint64_t kIncrements = 600;
@@ -662,12 +708,11 @@ TEST(Compaction, FailedPeriodicSnapshotBacksOffAndKeepsTheJournal) {
     EXPECT_EQ(c.resolve("backoff").value, kIncrements);
     server.Stop();
   }
-  remove_state(state);
 }
 
 // ---- deadlines (satellite: no more blocking forever) ----------------
 
-TEST(Deadlines, SilentServerSurfacesTimeoutNotHang) {
+TEST_F(Deadlines, SilentServerSurfacesTimeoutNotHang) {
   // A blackhole proxy in front of a live server: the connection is
   // alive at the socket level, dead at the protocol level (every byte
   // discarded, nothing ever answered) — the shape io_timeout exists
@@ -701,7 +746,7 @@ TEST(Deadlines, SilentServerSurfacesTimeoutNotHang) {
 
 // ---- graceful drain -------------------------------------------------
 
-TEST(Drain, AnswersParkedWaitsTypedAndWritesSnapshot) {
+TEST_F(Drain, AnswersParkedWaitsTypedAndWritesSnapshot) {
   const std::string sock = unique_path("drain.sock");
   const std::string state = unique_path("drain.state");
   auto server = std::make_optional<ms::CounterServer>([&] {
@@ -739,13 +784,11 @@ TEST(Drain, AnswersParkedWaitsTypedAndWritesSnapshot) {
   ASSERT_EQ(snap.counters.size(), 1u);
   EXPECT_EQ(snap.counters[0].value, 9u);
   server.reset();
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
 }
 
 // ---- forked-process suite: real SIGKILL, real SIGTERM ---------------
 
-TEST(ForkedRecovery, Kill9MidWorkloadClientFinishesExactlyOnce) {
+TEST_F(ForkedRecovery, Kill9MidWorkloadClientFinishesExactlyOnce) {
   for (const std::uint64_t seed :
        seeds_from_env("MONOTONIC_SERVER_KILL_SEEDS", {1, 2})) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -784,7 +827,7 @@ TEST(ForkedRecovery, Kill9MidWorkloadClientFinishesExactlyOnce) {
   }
 }
 
-TEST(ForkedRecovery, SigtermDrainsParkedWaitsAndExitsZero) {
+TEST_F(ForkedRecovery, SigtermDrainsParkedWaitsAndExitsZero) {
   const std::string sock = unique_path("term.sock");
   const std::string state = unique_path("term.state");
   ServerProcess server(sock, state);
@@ -802,7 +845,7 @@ TEST(ForkedRecovery, SigtermDrainsParkedWaitsAndExitsZero) {
   }
 }
 
-TEST(ForkedRecovery, RetryClientRidesRollingRestartTransparently) {
+TEST_F(ForkedRecovery, RetryClientRidesRollingRestartTransparently) {
   const std::string sock = unique_path("rolling.sock");
   const std::string state = unique_path("rolling.state");
   ServerProcess server(sock, state);
@@ -820,7 +863,7 @@ TEST(ForkedRecovery, RetryClientRidesRollingRestartTransparently) {
 
 // ---- chaos proxy: protocol robustness under injected faults ---------
 
-TEST(Chaos, FramesSplitIntoSingleBytesStillRoundTrip) {
+TEST_F(Chaos, FramesSplitIntoSingleBytesStillRoundTrip) {
   const std::string sock = unique_path("split.sock");
   ms::ServerOptions so;
   so.uds_path = sock;
@@ -843,7 +886,7 @@ TEST(Chaos, FramesSplitIntoSingleBytesStillRoundTrip) {
   server.Stop();
 }
 
-TEST(Chaos, TruncatedMidFrameConnectionsLeakNothing) {
+TEST_F(Chaos, TruncatedMidFrameConnectionsLeakNothing) {
   const std::string sock = unique_path("trunc.sock");
   ms::ServerOptions so;
   so.uds_path = sock;
@@ -886,7 +929,7 @@ TEST(Chaos, TruncatedMidFrameConnectionsLeakNothing) {
   server.Stop();
 }
 
-TEST(Chaos, RetryClientThroughCuttingProxyAppliesExactlyOnce) {
+TEST_F(Chaos, RetryClientThroughCuttingProxyAppliesExactlyOnce) {
   const std::string sock = unique_path("cutretry.sock");
   const std::string state = unique_path("cutretry.state");
   ms::ServerOptions so;
@@ -923,8 +966,6 @@ TEST(Chaos, RetryClientThroughCuttingProxyAppliesExactlyOnce) {
     EXPECT_EQ(direct.resolve(name).value, kN);
   }
   server.Stop();
-  ::unlink(state.c_str());
-  ::unlink((state + ".journal").c_str());
 }
 
 }  // namespace

@@ -1,17 +1,20 @@
-// wait_index_test.cpp — structural tests for the sharded hierarchical
-// level index (WaitPlaneKind::kHeap) behind the WaitIndex seam.
+// wait_index_test.cpp — structural tests for the level index
+// (wait_index.hpp) behind every counter's wait plane and OnReach
+// callback index.
 //
-// These drive WaitList / CallbackListT directly (no threads, no
-// policies): the §7 contract — ascending release order, released
-// prefix exactness, O(live levels) storage under timeouts — must hold
-// identically for both representations, so the heaviest test here is
-// differential: one seeded operation stream applied to a list plane
-// and a heap plane side by side, comparing every observable after
+// These drive WaitList / CallbackListT / LevelShard directly (no
+// threads, no policies): the §7 contract — ascending release order,
+// released prefix exactness, O(live levels) storage under timeouts —
+// must hold at every size, so the heaviest test here is differential:
+// one seeded operation stream applied to a wait list and to a plain
+// ordered-map model side by side, comparing every observable after
 // every step.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <map>
 #include <random>
 #include <vector>
 
@@ -29,35 +32,10 @@ struct StubSignal {
 using List = WaitList<StubSignal>;
 using Node = List::Node;
 
-WaitListOptions heap_options(std::size_t shards) {
-  WaitListOptions options;
-  options.wait_plane = WaitPlaneKind::kHeap;
-  options.wait_shards = shards;
-  return options;
-}
-
-TEST(WaitIndex, ReportsConfiguration) {
+TEST(WaitIndex, ReleasesAscending) {
   CounterStats stats;
-  List list(WaitListOptions{}, stats);
-  EXPECT_EQ(list.kind(), WaitPlaneKind::kList);
-  EXPECT_EQ(list.wait_shard_count(), 1u);
-
-  CounterStats heap_stats;
-  List heap(heap_options(4), heap_stats);
-  EXPECT_EQ(heap.kind(), WaitPlaneKind::kHeap);
-  EXPECT_EQ(heap.wait_shard_count(), 4u);
-  EXPECT_EQ(heap_stats.snapshot().wait_shard_count, 4u);
-  // wait_shards = 0 resolves to one shard, still a heap.
-  CounterStats one_stats;
-  List one(heap_options(0), one_stats);
-  EXPECT_EQ(one.kind(), WaitPlaneKind::kHeap);
-  EXPECT_EQ(one.wait_shard_count(), 1u);
-}
-
-TEST(WaitIndex, ReleasesAscendingAcrossShards) {
-  CounterStats stats;
-  List heap(heap_options(4), stats);
-  // Arm 100 levels in a scrambled order that hits every shard.
+  List heap(WaitListOptions{}, stats);
+  // Arm 100 levels in a scrambled order.
   std::vector<counter_value_t> levels;
   for (counter_value_t l = 1; l <= 100; ++l) levels.push_back(l);
   std::mt19937 rng(7);
@@ -96,13 +74,13 @@ TEST(WaitIndex, ReleasesAscendingAcrossShards) {
 }
 
 TEST(WaitIndex, BulkDrainCrossoverKeepsOrderAndSurvivors) {
-  // A release past detail::kBulkWakeThreshold levels leaves the pop
-  // loop for the sort-merge drain (drain_heap_sorted): the wake order
-  // must stay globally ascending and the surviving entries must still
+  // A release past LevelShard::kBulkWakeThreshold levels leaves the
+  // pop loop for the sort-split drain: the wake order must stay
+  // ascending and the surviving entries must still
   // be a fully working index — back-links intact for timed unlinks,
   // joins finding their nodes, later releases correct.
   CounterStats stats;
-  List heap(heap_options(5), stats);
+  List heap(WaitListOptions{}, stats);
   std::vector<counter_value_t> levels;
   for (counter_value_t l = 1; l <= 300; ++l) levels.push_back(l);
   std::mt19937 rng(11);
@@ -147,13 +125,13 @@ TEST(WaitIndex, BulkDrainCrossoverKeepsOrderAndSurvivors) {
   EXPECT_EQ(heap.waiter_count(), 0u);
 }
 
-TEST(WaitIndex, RadixDrainSortsLargeShards) {
-  // Past kRadixMinSort (4096) entries per shard the bulk drain's sort
-  // switches from introsort to the LSD radix pass — cover it with
-  // ~10k-entry shards, including a partial release so the radix-sorted
-  // survivors stay a working index.
+TEST(WaitIndex, RadixDrainSortsLargeIndices) {
+  // Past kRadixMinSort entries the bulk drain's sort switches from
+  // introsort to the LSD radix pass — cover it with 20k entries,
+  // including a partial release so the radix-sorted survivors stay a
+  // working index.
   CounterStats stats;
-  List heap(heap_options(2), stats);
+  List heap(WaitListOptions{}, stats);
   std::vector<counter_value_t> levels;
   for (counter_value_t l = 1; l <= 20'000; ++l) levels.push_back(l);
   std::mt19937 rng(17);
@@ -183,8 +161,8 @@ TEST(WaitIndex, RadixDrainSortsLargeShards) {
 
 TEST(WaitIndex, CallbackIndexBulkDetachKeepsLevelOrder) {
   // Same crossover for the callback plane: a detach_reached past the
-  // threshold must still run callbacks in global level order.
-  CallbackList callbacks(WaitPlaneKind::kHeap, 4);
+  // threshold must still run callbacks in level order.
+  CallbackList callbacks;
   std::vector<counter_value_t> levels;
   for (counter_value_t l = 1; l <= 250; ++l) levels.push_back(l);
   std::mt19937 rng(13);
@@ -214,7 +192,7 @@ TEST(WaitIndex, CallbackIndexBulkDetachKeepsLevelOrder) {
 
 TEST(WaitIndex, TimedOutWaiterUnlinksFromTheMiddle) {
   CounterStats stats;
-  List heap(heap_options(2), stats);
+  List heap(WaitListOptions{}, stats);
   Node* a = heap.acquire(10);
   Node* b = heap.acquire(20);
   Node* c = heap.acquire(30);
@@ -232,9 +210,9 @@ TEST(WaitIndex, TimedOutWaiterUnlinksFromTheMiddle) {
   EXPECT_TRUE(heap.empty());
 }
 
-TEST(WaitIndex, AdmissionBoundsUseTheShardHash) {
+TEST(WaitIndex, AdmissionBoundsUseTheLevelLookup) {
   CounterStats stats;
-  WaitListOptions options = heap_options(2);
+  WaitListOptions options;
   options.max_levels = 2;
   List heap(options, stats);
   Node* a = heap.acquire(1);
@@ -249,7 +227,7 @@ TEST(WaitIndex, AdmissionBoundsUseTheShardHash) {
 
 TEST(WaitIndex, SnapshotIsAscending) {
   CounterStats stats;
-  List heap(heap_options(3), stats);
+  List heap(WaitListOptions{}, stats);
   std::vector<Node*> nodes;
   for (counter_value_t l : {17, 3, 29, 11, 5}) nodes.push_back(heap.acquire(l));
   std::vector<DebugWaitLevel> snap;
@@ -265,10 +243,10 @@ TEST(WaitIndex, SnapshotIsAscending) {
 #if MONOTONIC_ENABLE_STATS
 TEST(WaitIndex, RecordsDepthAndBulkWakes) {
   CounterStats stats;
-  List heap(heap_options(1), stats);
+  List heap(WaitListOptions{}, stats);
   std::vector<Node*> nodes;
   for (counter_value_t l = 1; l <= 15; ++l) nodes.push_back(heap.acquire(l));
-  // 15 nodes in one shard: a full 4-deep binary heap.
+  // 15 nodes: a full 4-deep binary heap.
   EXPECT_EQ(stats.snapshot().index_depth, 4u);
   heap.release_prefix(15, [](Node&) {});
   EXPECT_EQ(stats.snapshot().bulk_wakes, 1u);  // one pass, 15 levels
@@ -282,93 +260,188 @@ TEST(WaitIndex, RecordsDepthAndBulkWakes) {
 }
 #endif
 
-// The differential test: one seeded operation stream, two planes, every
-// observable compared after every step.  The heap plane must be
-// indistinguishable from §7's list through the WaitList API.
-TEST(WaitIndex, DifferentialAgainstTheListPlane) {
+// The differential test: one seeded operation stream applied to a
+// wait list and to an ordered-map model of §7's list (level -> waiter
+// count), every observable compared after every step.  The level
+// range spans kSmallLevels, so the stream crosses the index's
+// scan/hash threshold in both directions many times.
+TEST(WaitIndex, DifferentialAgainstAnOrderedModel) {
   for (std::uint32_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    CounterStats list_stats, heap_stats;
-    List list(WaitListOptions{}, list_stats);
-    List heap(heap_options(3), heap_stats);
+    CounterStats stats;
+    List list(WaitListOptions{}, stats);
+    std::map<counter_value_t, std::size_t> model;  // live level -> waiters
     std::mt19937 rng(seed);
-    // Parallel node registries: entry i of each vector is the same
-    // logical waiter on both planes.
-    std::vector<Node*> list_nodes, heap_nodes;
+    std::vector<Node*> nodes;  // one entry per logical waiter
     std::vector<bool> left;
     counter_value_t value = 0;  // released levels stay <= value
 
     const auto compare = [&](const char* what) {
-      EXPECT_EQ(list.min_level(), heap.min_level()) << what;
-      EXPECT_EQ(list.waiter_count(), heap.waiter_count()) << what;
-      EXPECT_EQ(list.live_level_count(), heap.live_level_count()) << what;
-      std::vector<DebugWaitLevel> ls, hs;
-      list.snapshot_into(ls);
-      heap.snapshot_into(hs);
-      ASSERT_EQ(ls.size(), hs.size()) << what;
-      for (std::size_t i = 0; i < ls.size(); ++i) {
-        EXPECT_EQ(ls[i].level, hs[i].level) << what;
-        EXPECT_EQ(ls[i].waiters, hs[i].waiters) << what;
+      EXPECT_EQ(list.min_level(),
+                model.empty() ? kNoArmedLevel : model.begin()->first)
+          << what;
+      EXPECT_EQ(list.live_level_count(), model.size()) << what;
+      std::size_t waiters = 0;
+      for (const auto& [level, n] : model) waiters += n;
+      EXPECT_EQ(list.waiter_count(), waiters) << what;
+      std::vector<DebugWaitLevel> snap;
+      list.snapshot_into(snap);
+      ASSERT_EQ(snap.size(), model.size()) << what;
+      std::size_t i = 0;
+      for (const auto& [level, n] : model) {
+        EXPECT_EQ(snap[i].level, level) << what;
+        EXPECT_EQ(snap[i].waiters, n) << what;
+        ++i;
       }
+    };
+    const auto leave = [&](std::size_t i) {
+      auto it = model.find(nodes[i]->level);
+      if (it != model.end() && --it->second == 0) model.erase(it);
+      list.leave(nodes[i]);
+      left[i] = true;
     };
 
     for (int step = 0; step < 400; ++step) {
       const int op = static_cast<int>(rng() % 100);
       if (op < 55) {  // acquire a (possibly shared) level above value
         const counter_value_t level = value + 1 + rng() % 40;
-        list_nodes.push_back(list.acquire(level));
-        heap_nodes.push_back(heap.acquire(level));
+        nodes.push_back(list.acquire(level));
+        ++model[level];
         left.push_back(false);
       } else if (op < 80) {  // a random live waiter leaves (timeout)
         std::vector<std::size_t> live;
         for (std::size_t i = 0; i < left.size(); ++i) {
-          if (!left[i]) live.push_back(i);
+          if (!left[i] && !nodes[i]->released) live.push_back(i);
         }
         if (live.empty()) continue;
-        const std::size_t pick = live[rng() % live.size()];
-        list.leave(list_nodes[pick]);
-        heap.leave(heap_nodes[pick]);
-        left[pick] = true;
-      } else {  // increment: release the prefix on both planes
+        leave(live[rng() % live.size()]);
+      } else {  // increment: release the prefix
         value += 1 + rng() % 30;
-        std::vector<counter_value_t> lrel, hrel;
+        std::vector<counter_value_t> released, expected;
+        for (auto it = model.begin();
+             it != model.end() && it->first <= value;) {
+          expected.push_back(it->first);
+          it = model.erase(it);
+        }
         list.release_prefix(value,
-                            [&](Node& node) { lrel.push_back(node.level); });
-        heap.release_prefix(value,
-                            [&](Node& node) { hrel.push_back(node.level); });
-        EXPECT_EQ(lrel, hrel) << "release order diverged, seed " << seed;
-        // Released waiters wake and leave on both planes.
+                            [&](Node& node) { released.push_back(node.level); });
+        EXPECT_EQ(released, expected) << "release order diverged, seed " << seed;
+        // Released waiters wake and leave.
         for (std::size_t i = 0; i < left.size(); ++i) {
-          if (left[i] || !list_nodes[i]->released) continue;
-          EXPECT_TRUE(heap_nodes[i]->released);
-          list.leave(list_nodes[i]);
-          heap.leave(heap_nodes[i]);
-          left[i] = true;
+          if (!left[i] && nodes[i]->released) leave(i);
         }
       }
       compare("after step");
     }
     // Drain: abort everything, then every survivor leaves.
-    std::vector<counter_value_t> labort, habort;
-    list.abort_all([&](Node& node) { labort.push_back(node.level); });
-    heap.abort_all([&](Node& node) { habort.push_back(node.level); });
-    EXPECT_EQ(labort, habort);
+    std::vector<counter_value_t> aborted, expected;
+    for (const auto& [level, n] : model) expected.push_back(level);
+    model.clear();
+    list.abort_all([&](Node& node) { aborted.push_back(node.level); });
+    EXPECT_EQ(aborted, expected);
     for (std::size_t i = 0; i < left.size(); ++i) {
       if (left[i]) continue;
-      EXPECT_EQ(list_nodes[i]->aborted, heap_nodes[i]->aborted);
-      list.leave(list_nodes[i]);
-      heap.leave(heap_nodes[i]);
+      EXPECT_TRUE(nodes[i]->aborted);
+      leave(i);
     }
     EXPECT_TRUE(list.empty());
-    EXPECT_TRUE(heap.empty());
     EXPECT_EQ(list.waiter_count(), 0u);
-    EXPECT_EQ(heap.waiter_count(), 0u);
   }
 }
 
-// ---- CallbackListT over the heap index ------------------------------
+// ---- LevelShard across the small-index threshold --------------------
+
+struct IndexNode {
+  counter_value_t level = 0;
+  std::size_t heap_pos = 0;
+};
+using Index = detail::LevelShard<IndexNode>;
+
+std::vector<counter_value_t> drain_levels(Index& index, counter_value_t value) {
+  std::vector<counter_value_t> out;
+  const std::size_t n =
+      index.drain(value, [&](IndexNode* node) { out.push_back(node->level); });
+  EXPECT_EQ(n, out.size());
+  EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+  return out;
+}
+
+TEST(WaitIndex, SmallIndexThresholdCrossedBothWays) {
+  constexpr std::size_t kSmall = Index::kSmallLevels;
+  constexpr std::size_t kBulk = Index::kBulkWakeThreshold;
+  std::vector<IndexNode> nodes(4 * kBulk);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    nodes[i].level = static_cast<counter_value_t>(i + 1);
+  }
+  const auto noop = [] {};
+  Index index;
+  std::mt19937 rng(23);
+
+  // Below the threshold: the heap array alone, found by scan.
+  std::vector<std::size_t> order(kSmall);
+  for (std::size_t i = 0; i < kSmall; ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), rng);
+  for (std::size_t i : order) {
+    ASSERT_EQ(index.find(nodes[i].level), nullptr);
+    index.link(&nodes[i], noop);
+  }
+  EXPECT_FALSE(index.has_hash_index());
+  EXPECT_EQ(index.find(nodes[3].level), &nodes[3]);  // join lookup
+
+  // Crossing up: the next link builds the hash from the heap array.
+  index.link(&nodes[kSmall], noop);
+  EXPECT_TRUE(index.has_hash_index());
+  for (std::size_t i = 0; i <= kSmall; ++i) {
+    EXPECT_EQ(index.find(nodes[i].level), &nodes[i]);
+  }
+
+  // Timed-out erases from the middle take it back below the
+  // threshold; lookups stay exact on the way down.
+  for (std::size_t i = 2; i < kSmall; i += 2) index.erase(&nodes[i]);
+  EXPECT_LT(index.size(), kSmall);
+  EXPECT_EQ(index.find(nodes[4].level), nullptr);
+  EXPECT_EQ(index.find(nodes[5].level), &nodes[5]);
+
+  // A small peel, ascending: levels 1, 2 and 4 (3 was erased).
+  EXPECT_EQ(drain_levels(index, 4), (std::vector<counter_value_t>{1, 2, 4}));
+
+  // Back up far past the threshold and the bulk crossover.
+  for (std::size_t i = kSmall + 1; i < nodes.size(); ++i) {
+    index.link(&nodes[i], noop);
+  }
+  EXPECT_TRUE(index.has_hash_index());
+  EXPECT_EQ(index.find(nodes[nodes.size() - 1].level), &nodes.back());
+
+  // Bulk drain of a prefix (more than kBulk levels), then the rest: the
+  // survivors of the partial drain must stay a working index.
+  const counter_value_t cut = static_cast<counter_value_t>(3 * kBulk);
+  std::vector<counter_value_t> first = drain_levels(index, cut);
+  EXPECT_GT(first.size(), kBulk);
+  EXPECT_EQ(first.back(), cut);
+  EXPECT_EQ(index.min_level(), cut + 1);
+  index.erase(&nodes[cut + 5]);  // back-links re-based by the drain
+  EXPECT_EQ(index.find(nodes[cut + 6].level), &nodes[cut + 6]);
+  std::vector<counter_value_t> rest = drain_levels(index, kNoArmedLevel);
+  EXPECT_EQ(rest.size(), nodes.size() - cut - 1);
+  EXPECT_TRUE(index.empty());
+  EXPECT_FALSE(index.has_hash_index()) << "bulk drain kept the hash block";
+
+  // Emptied by pops (a peel below the bulk crossover) and by erases.
+  for (std::size_t i = 0; i < 2 * kSmall; ++i) index.link(&nodes[i], noop);
+  EXPECT_TRUE(index.has_hash_index());
+  EXPECT_EQ(drain_levels(index, kNoArmedLevel).size(), 2 * kSmall);
+  EXPECT_FALSE(index.has_hash_index()) << "peel to empty kept the hash block";
+
+  for (std::size_t i = 0; i < 2 * kSmall; ++i) index.link(&nodes[i], noop);
+  EXPECT_TRUE(index.has_hash_index());
+  for (std::size_t i = 0; i < 2 * kSmall; ++i) index.erase(&nodes[i]);
+  EXPECT_TRUE(index.empty());
+  EXPECT_FALSE(index.has_hash_index()) << "erase to empty kept the hash block";
+}
+
+// ---- CallbackListT over the level index -----------------------------
 
 TEST(WaitIndex, CallbackIndexDetachesAscendingChains) {
-  CallbackList callbacks(WaitPlaneKind::kHeap, 3);
+  CallbackList callbacks;
   std::vector<counter_value_t> ran;
   for (counter_value_t l : {25, 5, 15, 35, 10, 5}) {
     callbacks.insert(l, [&ran, l] { ran.push_back(l); });
@@ -397,8 +470,8 @@ TEST(WaitIndex, CallbackIndexDetachesAscendingChains) {
 }
 
 TEST(WaitIndex, CallbackIndexDropsUnreachedAtDestruction) {
-  // Covers the heap-plane destructor sweep (list mode walks head_).
-  CallbackList callbacks(WaitPlaneKind::kHeap, 2);
+  // Covers the destructor sweep over still-linked nodes.
+  CallbackList callbacks;
   for (counter_value_t l : {8, 2, 4}) {
     callbacks.insert(l, [] { FAIL() << "unreached callback must not run"; });
   }
