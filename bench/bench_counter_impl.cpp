@@ -11,10 +11,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <exception>
 #include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -573,30 +576,72 @@ void slow_callback_interference() {
 }  // namespace
 }  // namespace monotonic
 
+// --only <id> runs one experiment: an exact id ("E13") or a family
+// ("E10" runs E10.a-e, "E12" runs E12 and E12.b), so a change can
+// regenerate just the BENCH_counter.json rows it moves.  An experiment
+// named by --only runs under --quick too.
 int main(int argc, char** argv) {
   const auto cli = monotonic::bench::consume_common_flags(&argc, argv);
   monotonic::g_quick = cli.quick;
   monotonic::g_json = monotonic::bench::JsonlWriter(cli.json_path);
-  if (!monotonic::g_quick) {
-    // The slowest ablations add nothing to the smoke signal.
-    monotonic::fw_ablation();
-    monotonic::heat_ablation();
+  std::string only;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--only") {
+      if (i + 1 == argc) {
+        std::fprintf(stderr, "bench_counter_impl: --only needs an id\n");
+        return 2;
+      }
+      only = argv[++i];
+    } else if (arg.rfind("--only=", 0) == 0) {
+      only = arg.substr(7);
+    }
   }
-  monotonic::handoff_ablation();
-  monotonic::decorator_sweep();
-  if (!monotonic::g_quick) {
-    monotonic::poison_wake_latency();
+  struct Experiment {
+    std::string_view id;
+    bool skipped_by_quick;  // adds nothing to the smoke signal
+    void (*run)();
+  };
+  // --quick shrinks E12's storm to 512 waiters; E12.b scales the storm
+  // to 1M open-loop armed waiters (quick: 10k); E13 charts arm/wake
+  // latency against the live-level count (quick caps the axis at
+  // 10^4); E15 is the completion plane — logical-waiter scaling and
+  // the slow-callback interference ablation (quick shrinks both axes).
+  const Experiment experiments[] = {
+      {"E10.a", true, monotonic::fw_ablation},
+      {"E10.b", true, monotonic::heat_ablation},
+      {"E10.c", false, monotonic::handoff_ablation},
+      {"E10.d", false, monotonic::decorator_sweep},
+      {"E10.e", true, monotonic::poison_wake_latency},
+      {"E12", false, monotonic::overload_storm},
+      {"E12.b", false, monotonic::overload_storm_scaled},
+      {"E13", false, monotonic::wait_plane_scaling},
+      {"E15", false, monotonic::completion_scaling},
+      {"E15.b", false, monotonic::slow_callback_interference},
+  };
+  const auto selected = [&only](std::string_view id) {
+    return id == only ||
+           (id.size() > only.size() && id.starts_with(only) &&
+            id[only.size()] == '.');
+  };
+  bool matched = only.empty();
+  for (const Experiment& e : experiments) {
+    if (only.empty() ? e.skipped_by_quick && monotonic::g_quick
+                     : !selected(e.id)) {
+      continue;
+    }
+    matched = true;
+    e.run();
   }
-  // Runs in quick mode too: --quick shrinks the storm to 512 waiters.
-  monotonic::overload_storm();
-  // E12.b scales the storm to 1M open-loop armed waiters (quick: 10k);
-  // E13 charts arm/wake latency against the live-level count for both
-  // wait planes (quick caps the axis at 10^4).
-  monotonic::overload_storm_scaled();
-  monotonic::wait_plane_scaling();
-  // E15: the completion plane — logical-waiter scaling and the
-  // slow-callback interference ablation (quick shrinks both axes).
-  monotonic::completion_scaling();
-  monotonic::slow_callback_interference();
+  if (!matched) {
+    std::fprintf(stderr, "bench_counter_impl: no experiment '%s'; ids:",
+                 only.c_str());
+    for (const Experiment& e : experiments) {
+      std::fprintf(stderr, " %.*s", static_cast<int>(e.id.size()),
+                   e.id.data());
+    }
+    std::fprintf(stderr, "\n");
+    return 2;
+  }
   return 0;
 }

@@ -11,8 +11,6 @@ CounterStatsSnapshot CounterStats::snapshot() const noexcept {
   s.suspensions = suspensions_.load(std::memory_order_relaxed);
   s.wakeups = wakeups_.load(std::memory_order_relaxed);
   s.notifies = notifies_.load(std::memory_order_relaxed);
-  s.nodes_allocated = nodes_allocated_.load(std::memory_order_relaxed);
-  s.nodes_pooled = nodes_pooled_.load(std::memory_order_relaxed);
   s.live_nodes = live_nodes_.load(std::memory_order_relaxed);
   s.max_live_nodes = max_live_nodes_.load(std::memory_order_relaxed);
   s.max_live_waiters = max_live_waiters_.load(std::memory_order_relaxed);
@@ -22,14 +20,15 @@ CounterStatsSnapshot CounterStats::snapshot() const noexcept {
   s.cancelled_checks = cancelled_checks_.load(std::memory_order_relaxed);
   s.dropped_increments = dropped_increments_.load(std::memory_order_relaxed);
   s.stall_reports = stall_reports_.load(std::memory_order_relaxed);
-  s.fast_path_increments =
-      fast_path_increments_.load(std::memory_order_relaxed);
   s.collapses = collapses_.load(std::memory_order_relaxed);
   s.timed_out_checks = timed_out_checks_.load(std::memory_order_relaxed);
   s.overload_rejections = overload_rejections_.load(std::memory_order_relaxed);
   s.degraded_waits = degraded_waits_.load(std::memory_order_relaxed);
   s.pool_hits = pool_hits_.load(std::memory_order_relaxed);
   s.pool_misses = pool_misses_.load(std::memory_order_relaxed);
+  // Derived: every node allocation is a pool hit or a pool miss.
+  s.nodes_allocated = s.pool_hits + s.pool_misses;
+  s.nodes_pooled = s.pool_hits;
   s.bulk_wakes = bulk_wakes_.load(std::memory_order_relaxed);
   s.index_depth = index_depth_.load(std::memory_order_relaxed);
   s.predicate_checks = predicate_checks_.load(std::memory_order_relaxed);
@@ -48,8 +47,6 @@ void CounterStats::reset() noexcept {
   suspensions_.store(0, std::memory_order_relaxed);
   wakeups_.store(0, std::memory_order_relaxed);
   notifies_.store(0, std::memory_order_relaxed);
-  nodes_allocated_.store(0, std::memory_order_relaxed);
-  nodes_pooled_.store(0, std::memory_order_relaxed);
   // live_nodes_ / live_waiters_ are levels, not totals; do not reset.
   max_live_nodes_.store(live_nodes_.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -61,7 +58,6 @@ void CounterStats::reset() noexcept {
   cancelled_checks_.store(0, std::memory_order_relaxed);
   dropped_increments_.store(0, std::memory_order_relaxed);
   stall_reports_.store(0, std::memory_order_relaxed);
-  fast_path_increments_.store(0, std::memory_order_relaxed);
   collapses_.store(0, std::memory_order_relaxed);
   timed_out_checks_.store(0, std::memory_order_relaxed);
   overload_rejections_.store(0, std::memory_order_relaxed);

@@ -2,10 +2,19 @@
 //
 // The paper's §7 complexity claim — storage and time proportional to the
 // number of *distinct levels with waiters*, not the number of waiting
-// threads — cannot be validated from wall time alone on a single-core
-// machine.  Every counter implementation therefore maintains these
-// structural counters (relaxed atomics, negligible overhead), and the
-// E5/E6 benches report them directly.
+// threads — cannot be validated from wall time alone.  Every counter
+// implementation therefore maintains these structural counters, and
+// the E5/E6 benches report them directly.
+//
+// Each counter is a relaxed atomic, but relaxed is not free: a bump is
+// a read-modify-write on this object's cache lines, which every thread
+// touching the counter shares.  So nothing here is bumped on the
+// lock-free Increment fast path.  A lock-free value plane tallies its
+// fast-path Increments beside the value cell it adds to, and the
+// engine's stats() adds that tally in (basic_counter.hpp); this object
+// counts only the Increments that take the slow path or add zero.
+// Fields that other fields determine are derived in snapshot(), not
+// stored.
 #pragma once
 
 #include <atomic>
@@ -27,8 +36,9 @@ struct CounterStatsSnapshot {
   std::uint64_t suspensions = 0;      ///< Check() calls that slept
   std::uint64_t wakeups = 0;          ///< threads woken by Increment()
   std::uint64_t notifies = 0;         ///< condvar notify_all calls issued
-  std::uint64_t nodes_allocated = 0;  ///< wait nodes created (incl. reused)
+  std::uint64_t nodes_allocated = 0;  ///< wait nodes created (hits + misses)
   std::uint64_t nodes_pooled = 0;     ///< allocations served from the pool
+                                      ///< (= pool_hits)
   std::uint64_t live_nodes = 0;       ///< wait nodes currently linked/waited
   std::uint64_t max_live_nodes = 0;   ///< high-water mark of live_nodes
   std::uint64_t max_live_waiters = 0; ///< high-water mark of sleeping threads
@@ -69,7 +79,6 @@ class CounterStats {
   void on_cancelled_check() noexcept { bump(cancelled_checks_); }
   void on_dropped_increment() noexcept { bump(dropped_increments_); }
   void on_stall_report() noexcept { bump(stall_reports_); }
-  void on_fast_increment() noexcept { bump(fast_path_increments_); }
   void on_collapse() noexcept { bump(collapses_); }
   void on_timed_out_check() noexcept { bump(timed_out_checks_); }
   void on_overload_rejection() noexcept { bump(overload_rejections_); }
@@ -115,13 +124,7 @@ class CounterStats {
 
   void on_node_allocated(bool from_pool) noexcept {
 #if MONOTONIC_ENABLE_STATS
-    bump(nodes_allocated_);
-    if (from_pool) {
-      bump(nodes_pooled_);
-      bump(pool_hits_);
-    } else {
-      bump(pool_misses_);
-    }
+    bump(from_pool ? pool_hits_ : pool_misses_);
     const auto live = live_nodes_.fetch_add(1, std::memory_order_relaxed) + 1;
     raise_max(max_live_nodes_, live);
 #else
@@ -152,6 +155,10 @@ class CounterStats {
 
   CounterStatsSnapshot snapshot() const noexcept;
   void reset() noexcept;
+  /// Zeroes the Increment count alone (a counter's Reset()).
+  void reset_increments() noexcept {
+    increments_.store(0, std::memory_order_relaxed);
+  }
 
  private:
   static void bump(std::atomic<std::uint64_t>& a) noexcept {
@@ -176,8 +183,6 @@ class CounterStats {
   std::atomic<std::uint64_t> suspensions_{0};
   std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint64_t> notifies_{0};
-  std::atomic<std::uint64_t> nodes_allocated_{0};
-  std::atomic<std::uint64_t> nodes_pooled_{0};
   std::atomic<std::uint64_t> live_nodes_{0};
   std::atomic<std::uint64_t> max_live_nodes_{0};
   std::atomic<std::uint64_t> live_waiters_{0};
@@ -188,7 +193,6 @@ class CounterStats {
   std::atomic<std::uint64_t> cancelled_checks_{0};
   std::atomic<std::uint64_t> dropped_increments_{0};
   std::atomic<std::uint64_t> stall_reports_{0};
-  std::atomic<std::uint64_t> fast_path_increments_{0};
   std::atomic<std::uint64_t> collapses_{0};
   std::atomic<std::uint64_t> timed_out_checks_{0};
   std::atomic<std::uint64_t> overload_rejections_{0};

@@ -232,8 +232,12 @@ class SharedCounterT {
   void Increment(counter_value_t amount = 1) {
     MC_REQUIRE(amount > 0, "Increment amount must be positive");
     SharedSegmentHeader* h = header();
-    stats_.on_increment();
-    check_epoch(h);
+    // Each Increment is counted on exactly one path — superseded here,
+    // then dropped, notify or fast below — and stats() sums them.
+    if (h->epoch.load(std::memory_order_acquire) != epoch_) {
+      stats_.on_increment();
+      throw_superseded();
+    }
     if (h->poison_code.load(std::memory_order_acquire) != kSharedLive) {
       // Same contract as BasicCounter: increments on a poisoned
       // counter are counted drops, not errors — the producer learns
@@ -259,7 +263,9 @@ class SharedCounterT {
       Env::futex_wake_all(&h->wait_word);
       stats_.on_notify();
     } else {
-      stats_.on_fast_increment();
+#if MONOTONIC_ENABLE_STATS
+      fast_increments_.fetch_add(1, std::memory_order_relaxed);
+#endif
     }
     Env::point(SchedulePoint::kSharedWake);
     slot.inflight.fetch_sub(1, std::memory_order_acq_rel);
@@ -370,13 +376,21 @@ class SharedCounterT {
 
   CounterStatsSnapshot stats() const {
     CounterStatsSnapshot snap = stats_.snapshot();
+    // notifies and dropped_increments count Increment branches only.
+    snap.fast_path_increments =
+        fast_increments_.load(std::memory_order_relaxed);
+    snap.increments += snap.dropped_increments + snap.notifies +
+                       snap.fast_path_increments;
     const SharedSegmentHeader* h = header();
     snap.participant_deaths =
         h->participant_deaths.load(std::memory_order_relaxed);
     snap.epoch = h->epoch.load(std::memory_order_relaxed);
     return snap;
   }
-  void stats_reset() { stats_.reset(); }
+  void stats_reset() {
+    stats_.reset();
+    fast_increments_.store(0, std::memory_order_relaxed);
+  }
 
   /// Epoch this handle joined; stats().epoch is the segment's current.
   std::uint32_t epoch() const noexcept { return epoch_; }
@@ -670,6 +684,9 @@ class SharedCounterT {
   std::uint32_t epoch_ = 0;
   std::size_t slot_ = kNoSlot;
   std::uint64_t local_increments_ = 0;
+  // Increments that needed no wake; a statistic kept beside
+  // local_increments_, the other per-Increment write to this handle.
+  std::atomic<std::uint64_t> fast_increments_{0};
   /// Original cause from a local Poison(exception_ptr) — cannot cross
   /// the process boundary, so only this process's waiters rethrow it.
   /// Guarded by cause_mu_ (exception_ptr is not atomic).

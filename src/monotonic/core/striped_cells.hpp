@@ -51,6 +51,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -81,7 +82,9 @@ inline std::size_t default_stripe_count() noexcept {
 
 /// A cache-line-padded array of monotone atomic cells whose logical
 /// value is the sum.  The storage half of StripedPlane, reusable on
-/// its own (it knows nothing about waiters or watermarks).
+/// its own (it knows nothing about waiters or watermarks).  Each cell
+/// also carries a statistics tally (count/tally below), which uses 8
+/// more of the line's 64 bytes and so costs no memory.
 template <typename Env = RealEngineEnv>
 class StripedCellsT {
  public:
@@ -103,11 +106,29 @@ class StripedCellsT {
   /// header comment); also a release, so sums that observe this add
   /// observe everything before it.
   void add(std::size_t stripe, counter_value_t amount) {
-    cells_[stripe]->fetch_add(amount, std::memory_order_seq_cst);
+    cells_[stripe]->value.fetch_add(amount, std::memory_order_seq_cst);
   }
 
   counter_value_t load(std::size_t stripe) const noexcept {
-    return cells_[stripe]->load(std::memory_order_relaxed);
+    return cells_[stripe]->value.load(std::memory_order_relaxed);
+  }
+
+  /// Bumps `stripe`'s tally: relaxed, on the line add() just wrote.
+  void count(std::size_t stripe) noexcept {
+    cells_[stripe]->tally.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// Sum of the tallies (a relaxed snapshot, like any statistic).
+  std::uint64_t tally() const noexcept {
+    std::uint64_t total = 0;
+    for (const auto& cell : cells_) {
+      total += cell->tally.load(std::memory_order_relaxed);
+    }
+    return total;
+  }
+
+  void reset_tally() noexcept {
+    for (auto& cell : cells_) cell->tally.store(0, std::memory_order_relaxed);
   }
 
   /// Lower-bound sum with acquire loads: cheap, not linearizable, but
@@ -115,7 +136,7 @@ class StripedCellsT {
   counter_value_t sum() const noexcept {
     counter_value_t total = 0;
     for (const auto& cell : cells_) {
-      total += cell->load(std::memory_order_acquire);
+      total += cell->value.load(std::memory_order_acquire);
     }
     return total;
   }
@@ -125,18 +146,25 @@ class StripedCellsT {
   counter_value_t sum_seq_cst() const noexcept {
     counter_value_t total = 0;
     for (const auto& cell : cells_) {
-      total += cell->load(std::memory_order_seq_cst);
+      total += cell->value.load(std::memory_order_seq_cst);
     }
     return total;
   }
 
   void reset() noexcept {
-    for (auto& cell : cells_) cell->store(0, std::memory_order_release);
+    for (auto& cell : cells_) {
+      cell->value.store(0, std::memory_order_release);
+      cell->tally.store(0, std::memory_order_relaxed);
+    }
   }
 
  private:
-  std::vector<CacheAligned<typename Env::template Atomic<counter_value_t>>>
-      cells_;
+  struct Cell {
+    typename Env::template Atomic<counter_value_t> value{0};
+    // A statistic, invisible to the simulation's schedule.
+    std::atomic<std::uint64_t> tally{0};
+  };
+  std::vector<CacheAligned<Cell>> cells_;
 };
 
 /// The production instantiation (the historical name).
@@ -223,6 +251,15 @@ class StripedPlaneT {
   /// the locked slow path and drains there.  The engine never rearms a
   /// poisoned counter, so the pin holds until Reset.
   void pin() { lowest_armed_level_.store(0, std::memory_order_seq_cst); }
+
+  /// The fast-path tally lives in the home cell, beside the add.
+  void count_fast() noexcept {
+#if MONOTONIC_ENABLE_STATS
+    cells_.count(cells_.home_stripe());
+#endif
+  }
+  std::uint64_t fast_increments() const noexcept { return cells_.tally(); }
+  void reset_tally() noexcept { cells_.reset_tally(); }
 
   void reset() {
     cells_.reset();

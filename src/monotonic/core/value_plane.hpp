@@ -28,6 +28,9 @@
 //                               // kNoArmedLevel) after list changes
 //   void pin();                 // under m_: poison — fast path closed
 //                               // forever (until Reset)
+//   void count_fast();          // tally one fast-path Increment
+//   std::uint64_t fast_increments() const;  // the tally (stats())
+//   void reset_tally();         // zero the tally (stats_reset())
 //
 //   // Locking planes (kLockFreeFastPath == false):
 //   void add_locked(amount);    // under m_
@@ -35,7 +38,14 @@
 //   // All planes, under m_:
 //   counter_value_t collapse();            // linearizable value
 //   counter_value_t read_locked() const;   // collapse for const paths
-//   void reset();
+//   void reset();               // value to zero (and the tally)
+//
+// The fast-path tally is a statistic kept by the plane, not by
+// CounterStats: a lock-free Increment that completes on the fast path
+// bumps a relaxed counter on the cache line it just added to, so it
+// writes no other line.  count_fast() is a no-op with
+// MONOTONIC_ENABLE_STATS=0, leaving the value add the fast path's only
+// read-modify-write.
 //
 // Two planes live here; the striped LongAdder-style plane lives in
 // striped_cells.hpp so code that never shards doesn't pay for the
@@ -56,6 +66,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
 
@@ -162,11 +173,32 @@ class AtomicWordPlaneT {
   /// (the engine skips rearm while poisoned).
   void pin() { word_.fetch_or(kAttentionBit, std::memory_order_relaxed); }
 
-  void reset() { word_.store(0, std::memory_order_release); }
+  void count_fast() noexcept {
+#if MONOTONIC_ENABLE_STATS
+    fast_increments_.fetch_add(1, std::memory_order_relaxed);
+#endif
+  }
+  std::uint64_t fast_increments() const noexcept {
+    return fast_increments_.load(std::memory_order_relaxed);
+  }
+  void reset_tally() noexcept {
+    fast_increments_.store(0, std::memory_order_relaxed);
+  }
+
+  void reset() {
+    word_.store(0, std::memory_order_release);
+    reset_tally();
+  }
 
  private:
   static constexpr counter_value_t kAttentionBit = 1;
+  // The tally sits right after the word, so the pair shares a line
+  // whenever the plane starts at a 16-byte offset, as it does in
+  // BasicCounter.  No alignas: it would raise every counter's alignment
+  // and allocation size.  A std::atomic, not Env::Atomic: it is a
+  // statistic, invisible to the simulation's schedule.
   typename Env::template Atomic<counter_value_t> word_{0};
+  std::atomic<std::uint64_t> fast_increments_{0};
 };
 
 /// The production instantiation (the historical name).

@@ -715,6 +715,13 @@ class WeakStripedPlane {
     lowest_armed_level_.store(lowest, std::memory_order_seq_cst);
   }
   void pin() { lowest_armed_level_.store(0, std::memory_order_seq_cst); }
+  void count_fast() noexcept {
+#if MONOTONIC_ENABLE_STATS
+    cells_.count(cells_.home_stripe());
+#endif
+  }
+  std::uint64_t fast_increments() const noexcept { return cells_.tally(); }
+  void reset_tally() noexcept { cells_.reset_tally(); }
   void reset() {
     cells_.reset();
     lowest_armed_level_.store(kNoArmedLevel, std::memory_order_seq_cst);

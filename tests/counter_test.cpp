@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -536,6 +537,105 @@ TEST(CounterStructure, NoPoolOptionAllocatesFresh) {
   auto s = c.stats();
   EXPECT_EQ(s.nodes_allocated, 3u);
   EXPECT_EQ(s.nodes_pooled, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Increment tallies.  A lock-free plane counts its fast-path Increments
+// beside the value cell it adds to, CounterStats counts the slow-path
+// and zero-amount ones, and stats() sums them; the node counts derive
+// from the pool counts.  Run over both lock-free planes (word and
+// striped) and over the blocking §7 Counter, whose plane has no fast
+// path.
+
+template <typename C>
+class IncrementTally : public ::testing::Test {
+ protected:
+  static constexpr int kThreads = 4;
+  static constexpr int kPerThread = 20000;
+  static constexpr std::uint64_t kTotal =
+      static_cast<std::uint64_t>(kThreads) * kPerThread;
+
+  void increment_from_all_threads() {
+    multithreaded_for(0, kThreads, 1, [&](int) {
+      for (int i = 0; i < kPerThread; ++i) counter_.Increment(1);
+    });
+  }
+
+  C counter_;
+};
+
+using TallyCounterTypes =
+    ::testing::Types<HybridCounter, ShardedHybridCounter, FutexCounter,
+                     Counter>;
+
+struct TallyTypeNames {
+  template <typename T>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<T, HybridCounter>) return "hybrid";
+    if constexpr (std::is_same_v<T, ShardedHybridCounter>)
+      return "sharded_hybrid";
+    if constexpr (std::is_same_v<T, FutexCounter>) return "futex";
+    if constexpr (std::is_same_v<T, Counter>) return "list";
+  }
+};
+
+TYPED_TEST_SUITE(IncrementTally, TallyCounterTypes, TallyTypeNames);
+
+TYPED_TEST(IncrementTally, NothingArmedEveryIncrementIsFast) {
+  this->increment_from_all_threads();
+  const auto s = this->counter_.stats();
+  EXPECT_EQ(s.increments, this->kTotal);
+  EXPECT_EQ(s.fast_path_increments,
+            TypeParam::kLockFreeFastPath ? this->kTotal : 0u);
+}
+
+TYPED_TEST(IncrementTally, ArmedLevelSendsCrossingIncrementsSlow) {
+  // A level reached mid-run: whichever Increment crosses it takes the
+  // slow path to run the callback, so not every Increment is fast.
+  std::atomic<bool> reached{false};
+  this->counter_.OnReach(this->kTotal / 2, [&reached] { reached = true; });
+  this->increment_from_all_threads();
+  EXPECT_TRUE(reached.load());
+  const auto s = this->counter_.stats();
+  EXPECT_EQ(s.increments, this->kTotal);
+  EXPECT_LT(s.fast_path_increments, s.increments);
+}
+
+TYPED_TEST(IncrementTally, StatsResetAndResetZeroTheTally) {
+  this->counter_.Increment(1);
+  this->counter_.Increment(0);  // zero amounts are counted too
+  this->counter_.stats_reset();
+  EXPECT_EQ(this->counter_.stats().increments, 0u);
+  EXPECT_EQ(this->counter_.stats().fast_path_increments, 0u);
+
+  this->counter_.Increment(2);
+  this->counter_.Increment(3);
+  EXPECT_EQ(this->counter_.stats().increments, 2u);
+  EXPECT_EQ(this->counter_.stats().fast_path_increments,
+            TypeParam::kLockFreeFastPath ? 2u : 0u);
+
+  this->counter_.Reset();
+  EXPECT_EQ(this->counter_.stats().increments, 0u);
+  EXPECT_EQ(this->counter_.stats().fast_path_increments, 0u);
+  this->counter_.Increment(1);
+  EXPECT_EQ(this->counter_.stats().increments, 1u);
+}
+
+TYPED_TEST(IncrementTally, NodeCountsDeriveFromThePool) {
+  for (int round = 0; round < 5; ++round) {
+    std::jthread waiter([this, round] {
+      this->counter_.Check(static_cast<counter_value_t>(round) + 1);
+    });
+    while (this->counter_.debug_snapshot().wait_levels.empty()) {
+      std::this_thread::sleep_for(1ms);
+    }
+    this->counter_.Increment(1);
+  }
+  const auto s = this->counter_.stats();
+  EXPECT_EQ(s.nodes_allocated, 5u);
+  EXPECT_GE(s.pool_hits, 1u) << "later rounds should reuse pooled nodes";
+  EXPECT_EQ(s.nodes_allocated, s.pool_hits + s.pool_misses);
+  EXPECT_EQ(s.nodes_pooled, s.pool_hits);
 }
 
 TEST(CounterReset, ResetWithWaitersIsAnError) {

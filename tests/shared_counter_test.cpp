@@ -212,6 +212,36 @@ TEST(SharedCounterBasics, ReachedLevelsSucceedEvenAfterPoison) {
   EXPECT_GE(c.stats().dropped_increments, 1u);
 }
 
+// Increment counts each call on exactly one branch (fast, notify,
+// dropped or superseded), and stats() sums the branches.
+TEST(SharedCounterBasics, IncrementsSumTheirExclusiveBranches) {
+  ScopedName n("tally");
+  auto c = SharedCounter::Create(n.name);
+  std::jthread waiter([&] { c.Check(4); });
+  for (int i = 0; i < 3; ++i) c.Increment();
+  while (c.stats().suspensions == 0) std::this_thread::sleep_for(1ms);
+  c.Increment();  // releases the waiter
+  waiter.join();
+  auto s = c.stats();
+  EXPECT_EQ(s.increments, 4u);
+  EXPECT_EQ(s.fast_path_increments + s.notifies, 4u);
+
+  c.Poison(std::string_view("stop"));
+  c.Increment();  // dropped
+  s = c.stats();
+  EXPECT_EQ(s.dropped_increments, 1u);
+  EXPECT_EQ(s.increments, 5u);
+
+  auto fresh = SharedCounter::Create(n.name);  // supersedes c's epoch
+  EXPECT_EQ(cause_of([&] { c.Increment(); }), PoisonCause::kEpochSuperseded);
+  EXPECT_EQ(c.stats().increments, 6u);
+
+  c.stats_reset();
+  s = c.stats();
+  EXPECT_EQ(s.increments, 0u);
+  EXPECT_EQ(s.fast_path_increments, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Multi-process behavior.
 
